@@ -45,10 +45,11 @@ CflAdvectionProgram icores::buildCflAdvectionProgram() {
   A.SFlux3 = addFluxStage("flux3", A.F3, A.U3, 2);
 
   // Per-cell Courant sum. No stage reads `courant`: without the declared
-  // `cfl` reduction below this pass would be a barrier-elision candidate,
-  // yet the runtime's cross-thread fold of the pass region makes the
-  // missing barrier a real race. ScheduleOptimizer must pin it and
-  // ScheduleCheck must flag its absence.
+  // `cfl` reduction below this pass would be a barrier-elision candidate.
+  // ScheduleOptimizer pins its trailing barrier and ScheduleCheck flags
+  // its absence. The pin is conservative: each worker folds only the rows
+  // it has just written, so dropping the barrier would not race; the rule
+  // stays until its retirement is proved across the plan space.
   {
     StageDef S;
     S.Name = "courant";
@@ -152,18 +153,25 @@ KernelTable icores::buildCflAdvectionKernels() {
 }
 
 std::vector<ReductionBinding> icores::cflAdvectionReductions() {
-  // Both combiners are max-style: associative, commutative, and duplicate
+  // Both folds are max-style: associative, commutative, and duplicate
   // tolerant, so the redundant cone cells of islands/temporal plans (which
   // hold bit-identical periodic images) fold to the exact serial result.
   std::vector<ReductionBinding> Bindings;
-  Bindings.push_back(
-      {"cfl", [](double Acc, double V) { return std::max(Acc, V); }, 0.0});
+  Bindings.push_back({"cfl",
+                      [](double Acc, const double *Row, int Count) {
+                        for (int K = 0; K != Count; ++K)
+                          Acc = std::max(Acc, Row[K]);
+                        return Acc;
+                      },
+                      0.0});
   Bindings.push_back({"maxnorm",
-                      [](double Acc, double V) {
+                      [](double Acc, const double *Row, int Count) {
                         // Partials are maxima of absolute values, so
                         // re-applying fabs when combining them is a no-op
                         // and partial-combining stays exact.
-                        return std::max(Acc, std::fabs(V));
+                        for (int K = 0; K != Count; ++K)
+                          Acc = std::max(Acc, std::fabs(Row[K]));
+                        return Acc;
                       },
                       0.0});
   return Bindings;

@@ -17,12 +17,12 @@
 /// The workload exists to stress the reduction path of the runtime stack:
 /// `courant` is a step output no stage ever reads, so barrier elision
 /// would happily drop the barrier after S4 — except that the declared
-/// `cfl` reduction makes that pass an all-threads dependence (the
-/// runtime's fold reads the whole pass region on the team's thread 0),
-/// which ScheduleCheck must flag and the optimizer must respect. Both
-/// reductions use duplicate-tolerant max-style combiners, so every plan
-/// shape — islands, temporal epochs with overlapping cones, stealing —
-/// reproduces the serial stepper's canonical scan bit for bit.
+/// `cfl` reduction pins that barrier, which ScheduleCheck must flag and
+/// the optimizer must respect. The pin is conservative (each worker folds
+/// only the rows it wrote itself). Both reductions use duplicate-tolerant
+/// max-style row folds, so every plan shape — islands, temporal epochs
+/// with overlapping cones, stealing — reproduces the serial stepper's
+/// canonical scan bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,7 +67,7 @@ CflAdvectionProgram buildCflAdvectionProgram();
 /// fixed evaluation order, so bit-stable under any partitioning).
 KernelTable buildCflAdvectionKernels();
 
-/// Combiner bindings for the program's `cfl` and `maxnorm` reductions
+/// Row-fold bindings for the program's `cfl` and `maxnorm` reductions
 /// (max and max-of-absolute-value; both duplicate tolerant).
 std::vector<ReductionBinding> cflAdvectionReductions();
 

@@ -52,12 +52,13 @@ ScheduleOptimizerReport icores::optimizeBarriers(const StencilProgram &Program,
         EpochBegin = I + 1;
         continue;
       }
-      // A pass producing a reduced array must keep its barrier in a
-      // multi-thread team: the executor folds the whole pass region on
-      // thread 0 right after the pass, reading every teammate's
-      // sub-region — an all-threads dependence no pass-pair conflict
-      // query sees (the reduced array may have no in-step reader at
-      // all). ScheduleCheck enforces the same rule as its safety gate.
+      // A pass producing a reduced array keeps its barrier in a
+      // multi-thread team. The pin is conservative: the executor folds
+      // each worker's reduction partial from the rows that worker has
+      // just written, so no teammate's sub-region is read and the pass
+      // has no all-threads dependence of its own. The rule stays until
+      // its retirement is proved across the plan space; ScheduleCheck
+      // enforces the same rule as its safety gate.
       if (N > 1 && Program.stageWritesReduced(Live[I].first->Stage)) {
         Live[I].first->BarrierAfter = true;
         EpochBegin = I + 1;

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -108,12 +109,13 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
                    Dom.boundaryMode() == BoundaryMode::Periodic,
                "temporal blocking requires periodic boundaries");
 
-  // Reductions: bindings in declaration order, the per-stage fold lists,
-  // and the (island, step, reduction) partial scratch. The fold reads the
-  // whole pass region on the team's thread 0, so in a multi-thread team
-  // every non-empty pass producing a reduced array must keep its trailing
-  // barrier — the same rule ScheduleCheck enforces and the barrier
-  // elision optimizer preserves.
+  // Reductions: bindings in declaration order and the per-stage fold
+  // lists (the per-worker partial slots are sized with the pool below).
+  // Each worker folds only the rows it has just written, so no fold reads
+  // a teammate's sub-region. Passes producing a reduced array still keep
+  // their trailing barrier in a multi-thread team: a conservative pin,
+  // the same rule ScheduleCheck enforces and the barrier elision
+  // optimizer preserves.
   Reductions = orderedReductionBindings(Program, Opts.Reductions);
   ReductionLog.resize(Reductions.size());
   StageFolds.resize(Program.numStages());
@@ -122,9 +124,6 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
     if (Producer != NoStage)
       StageFolds[static_cast<size_t>(Producer)].push_back(R);
   }
-  Partials.resize(Plan.Islands.size() *
-                  static_cast<size_t>(Plan.TemporalDepth) *
-                  Reductions.size());
   if (!Reductions.empty())
     for (const IslandPlan &Island : Plan.Islands)
       for (const BlockTask &Block : Island.Blocks)
@@ -134,7 +133,8 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
                            StageFolds[static_cast<size_t>(Pass.Stage)]
                                .empty(),
                        "pass producing a reduced array lacks its trailing "
-                       "barrier (reduction fold would race)");
+                       "barrier (reduction producers keep a conservative "
+                       "barrier pin)");
 
   // With a placement policy armed every allocation is left untouched so
   // the init epoch's pinned workers produce the first (page-homing) write;
@@ -273,6 +273,8 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
     for (int T = 0; T != Plan.Islands[Isl].NumThreads; ++T)
       WorkerCoords.emplace_back(static_cast<int>(Isl), T);
   Pool = std::make_unique<WorkerPool>(static_cast<int>(WorkerCoords.size()));
+  Partials.resize(WorkerCoords.size() *
+                  static_cast<size_t>(Plan.TemporalDepth) * Reductions.size());
 
   // Placement model: the page-ownership map under the requested policy and
   // the remote slice of the per-epoch shared traffic it implies. Computed
@@ -503,68 +505,75 @@ void ProgramExecutor::rebindForStep(IslandState &IS, int StepInEpoch) {
 /// Epoch import: fills this thread's share of every import buffer with
 /// periodically wrapped copies of the shared arrays' core cells. The
 /// widened cones only ever read wrapped *core* positions, so the shared
-/// halos (stale after the epoch feedback swap) are never consulted.
+/// halos (stale after the epoch feedback swap) are never consulted. The
+/// in-range k-interior of each row maps to itself and is one memcpy;
+/// only the wrapped k ends are gathered element by element.
 void ProgramExecutor::importEpochInputs(IslandState &IS, int Worker,
                                         int ThreadInTeam, int NumThreads) {
+  const int NK = Dom.nk();
   for (auto &[Id, Buf] : IS.Imports) {
     const Array3D &Src = array(Id);
     Box3 Sub = teamSubRegion(Buf.indexSpace(), ThreadInTeam, NumThreads);
-    if (Opts.Observer && !Sub.empty())
-      Opts.Observer->onImport(Worker, Src, Buf, Sub, Dom.ni(), Dom.nj(),
-                              Dom.nk());
+    if (Sub.empty())
+      continue;
+    if (Opts.Observer)
+      Opts.Observer->onImport(Worker, Src, Buf, Sub, Dom.ni(), Dom.nj(), NK);
+    // [KLo, KHi): the part of the row's k-range inside [0, NK).
+    const int KLo = std::clamp(Sub.Lo[2], 0, NK);
+    const int KHi = std::clamp(Sub.Hi[2], 0, NK);
     for (int I = Sub.Lo[0]; I != Sub.Hi[0]; ++I) {
       int WI = Domain::wrapIndex(I, Dom.ni());
       for (int J = Sub.Lo[1]; J != Sub.Hi[1]; ++J) {
         int WJ = Domain::wrapIndex(J, Dom.nj());
-        for (int K = Sub.Lo[2]; K != Sub.Hi[2]; ++K)
-          Buf.at(I, J, K) = Src.at(WI, WJ, Domain::wrapIndex(K, Dom.nk()));
+        for (int K = Sub.Lo[2]; K < std::min(KLo, Sub.Hi[2]); ++K)
+          Buf.at(I, J, K) = Src.at(WI, WJ, Domain::wrapIndex(K, NK));
+        if (KHi > KLo)
+          std::memcpy(Buf.pointerTo(I, J, KLo), Src.pointerTo(WI, WJ, KLo),
+                      static_cast<size_t>(KHi - KLo) * sizeof(double));
+        for (int K = std::max(KHi, Sub.Lo[2]); K < Sub.Hi[2]; ++K)
+          Buf.at(I, J, K) = Src.at(WI, WJ, Domain::wrapIndex(K, NK));
       }
     }
   }
 }
 
-double &ProgramExecutor::partialAt(size_t Island, int StepInEpoch,
-                                   size_t R) {
-  return Partials[(Island * static_cast<size_t>(Plan.TemporalDepth) +
+double &ProgramExecutor::partialAt(int Worker, int StepInEpoch, size_t R) {
+  return Partials[(static_cast<size_t>(Worker) *
+                       static_cast<size_t>(Plan.TemporalDepth) +
                    static_cast<size_t>(StepInEpoch)) *
                       Reductions.size() +
-                  R];
+                  R]
+      .Value;
 }
 
-/// Seeds the island's per-epoch partials with the fold identities. Called
-/// by the island's thread 0 right after the epoch-start global barriers,
-/// before it reaches any pass-end barrier, so no fold can precede it.
-void ProgramExecutor::resetIslandPartials(size_t Island) {
-  for (int Step = 0; Step != Plan.TemporalDepth; ++Step)
-    for (size_t R = 0; R != Reductions.size(); ++R)
-      partialAt(Island, Step, R) = Reductions[R].Identity;
-}
-
-/// Folds \p Pass's region of each reduced array the pass produced into
-/// the island's partial for the current fused step. Runs on the team's
-/// thread 0 right after the pass-end barrier published every teammate's
-/// sub-region; the store still holds the step's bindings (scratch buffers
-/// at intermediate fused steps, the shared arrays at the final one).
-/// Islands' widened cone regions overlap under temporal blocking, but the
-/// overlapping cells carry bit-identical (periodically wrapped) values,
-/// so the duplicate-tolerant combiner contract keeps the combined value
-/// exactly the serial core scan's.
-void ProgramExecutor::foldPassReduction(IslandState &IS, size_t Island,
-                                        int StepInEpoch,
-                                        const StagePass &Pass) {
-  for (size_t R : StageFolds[static_cast<size_t>(Pass.Stage)]) {
+/// Folds \p Sub of every reduced array \p Stage produces into worker
+/// \p Worker's partial for fused step \p StepInEpoch, one Fold call per
+/// k-row. Sub is exactly what this worker's kernel call has just written,
+/// so the rows are still in its cache and no teammate's writes are read;
+/// the store still holds the step's bindings (scratch buffers at
+/// intermediate fused steps, the shared arrays at the final one). Islands'
+/// widened cone regions overlap under temporal blocking, but overlapping
+/// cells carry bit-identical (periodically wrapped) values, so the
+/// duplicate-tolerant fold contract keeps the combined value exactly the
+/// serial core scan's.
+void ProgramExecutor::foldRows(const IslandState &IS, int Worker,
+                               int StepInEpoch, StageId Stage,
+                               const Box3 &Sub) {
+  if (Sub.empty())
+    return;
+  for (size_t R : StageFolds[static_cast<size_t>(Stage)]) {
     const Array3D &Arr = IS.Store.get(Program.reductions()[R].Array);
     const ReductionBinding &B = Reductions[R];
-    double V = partialAt(Island, StepInEpoch, R);
-    for (int I = Pass.Region.Lo[0]; I != Pass.Region.Hi[0]; ++I)
-      for (int J = Pass.Region.Lo[1]; J != Pass.Region.Hi[1]; ++J)
-        for (int K = Pass.Region.Lo[2]; K != Pass.Region.Hi[2]; ++K)
-          V = B.Combine(V, Arr.at(I, J, K));
-    partialAt(Island, StepInEpoch, R) = V;
+    double &Slot = partialAt(Worker, StepInEpoch, R);
+    double V = Slot;
+    for (int I = Sub.Lo[0]; I != Sub.Hi[0]; ++I)
+      for (int J = Sub.Lo[1]; J != Sub.Hi[1]; ++J)
+        V = B.Fold(V, Arr.pointerTo(I, J, Sub.Lo[2]), Sub.extent(2));
+    Slot = V;
   }
 }
 
-/// Combines the islands' partials of the epoch just finished, in island
+/// Combines the workers' partials of the epoch just finished, in worker
 /// order, and appends one global value per (fused step, reduction) to the
 /// log. Runs with every worker quiesced at a global barrier (or after the
 /// pool dispatch returned), so the partial reads need no further
@@ -573,8 +582,8 @@ void ProgramExecutor::appendEpochReductions() {
   for (int Step = 0; Step != Plan.TemporalDepth; ++Step)
     for (size_t R = 0; R != Reductions.size(); ++R) {
       double V = Reductions[R].Identity;
-      for (size_t Isl = 0; Isl != IslandStates.size(); ++Isl)
-        V = Reductions[R].Combine(V, partialAt(Isl, Step, R));
+      for (int W = 0; W != static_cast<int>(WorkerCoords.size()); ++W)
+        V = Reductions[R].Fold(V, &partialAt(W, Step, R), 1);
       ReductionLog[R].push_back(V);
     }
 }
@@ -651,30 +660,44 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
       IslandP.NumThreads * std::max(1, Opts.StealChunksPerThread);
   const int OwnChunks = StealChunks / IslandP.NumThreads;
 
+  // Runs the stage kernel on Sub, then folds the rows it just wrote into
+  // this worker's reduction partials while they are still in cache.
+  auto compute = [&](StageId Stage, const Box3 &Sub, int StepInEpoch) {
+    Kernels.run(IS.Store, Stage, Sub);
+    foldRows(IS, Worker, StepInEpoch, Stage, Sub);
+  };
+
   const int Depth = this->Plan.TemporalDepth;
   const int Epochs = Steps / Depth; // run() checked divisibility.
+  // T == 1 reads the shared inputs in place, so the feedback halos must be
+  // refreshed every epoch; temporal epochs instead wrap-gather imports
+  // from the core cells and never read the shared halos.
+  const bool RefreshHalos = Depth == 1 && !Program.feedbacks().empty();
+  const int TotalWorkers = static_cast<int>(WorkerCoords.size());
   for (int Epoch = 0; Epoch != Epochs; ++Epoch) {
-    globalBarrier();
-    if (Island == 0 && ThreadInTeam == 0) {
-      if (Epoch != 0) {
-        // Every worker is quiesced between the two global barriers, so
-        // the previous epoch's reduction partials are complete — combine
-        // them across islands before anyone resets them for this epoch.
+    if (Epoch != 0) {
+      // Every worker is quiesced past this barrier, so the previous
+      // epoch's outputs and reduction partials are complete: combine the
+      // partials before their owners reset them, and advance the state.
+      globalBarrier();
+      if (Island == 0 && ThreadInTeam == 0) {
         if (!Reductions.empty())
           appendEpochReductions();
         for (const FeedbackPair &FB : Program.feedbacks())
           std::swap(array(FB.Source), array(FB.Target));
       }
-      // T == 1 reads the shared inputs in place, so the feedback halos
-      // must be refreshed; temporal epochs instead wrap-gather imports
-      // from the core cells and never read the shared halos.
-      if (Depth == 1)
-        for (const FeedbackPair &FB : Program.feedbacks())
-          Dom.fillHalo(array(FB.Target));
+      if (RefreshHalos)
+        globalBarrier(); // Publishes the swap to the halo refresh.
     }
+    // Every worker refreshes its i-plane slice of the feedback halos; the
+    // slices read only core cells and write disjoint halo cells.
+    if (RefreshHalos)
+      for (const FeedbackPair &FB : Program.feedbacks())
+        Dom.fillHaloSlice(array(FB.Target), Worker, TotalWorkers);
     globalBarrier();
-    if (ThreadInTeam == 0 && !Reductions.empty())
-      resetIslandPartials(static_cast<size_t>(Island));
+    for (int Step = 0; Step != Depth; ++Step)
+      for (size_t R = 0; R != Reductions.size(); ++R)
+        partialAt(Worker, Step, R) = Reductions[R].Identity;
 
     if (Depth > 1) {
       // Epoch prologue: rebind for fused step 0 and gather the imports.
@@ -735,13 +758,13 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
               Obs->onPass(Worker, Program, IS.Store, Pass.Stage, Sub);
             if (Prof) {
               ProfileClock::time_point T0 = ProfileClock::now();
-              Kernels.run(IS.Store, Pass.Stage, Sub);
+              compute(Pass.Stage, Sub, CurStep);
               LastWork = ProfileClock::now();
               double Sec = secondsSince(T0, LastWork);
               Accum.StageKernelSeconds[Stage] += Sec;
               Accum.StepKernelSeconds[static_cast<size_t>(CurStep)] += Sec;
             } else {
-              Kernels.run(IS.Store, Pass.Stage, Sub);
+              compute(Pass.Stage, Sub, CurStep);
             }
           };
 
@@ -800,9 +823,6 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
           } else {
             teamBarrier();
           }
-          if (ThreadInTeam == 0 && !StageFolds[Stage].empty())
-            foldPassReduction(IS, static_cast<size_t>(Island), CurStep,
-                              Pass);
           PrevBarrier = true;
           continue;
         }
@@ -812,7 +832,7 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
           Obs->onPass(Worker, Program, IS.Store, Pass.Stage, Sub);
         if (Prof) {
           ProfileClock::time_point T0 = ProfileClock::now();
-          Kernels.run(IS.Store, Pass.Stage, Sub);
+          compute(Pass.Stage, Sub, CurStep);
           ProfileClock::time_point T1 = ProfileClock::now();
           if (Pass.BarrierAfter) {
             if (Obs)
@@ -830,16 +850,10 @@ void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
           Accum.StepKernelSeconds[static_cast<size_t>(CurStep)] += Sec;
           ++Accum.StagePasses[Stage];
         } else {
-          Kernels.run(IS.Store, Pass.Stage, Sub);
+          compute(Pass.Stage, Sub, CurStep);
           if (Pass.BarrierAfter)
             teamBarrier();
         }
-        // The pass-end barrier just published every teammate's sub-region
-        // (single-thread teams need no barrier for that), so thread 0 can
-        // fold the pass's share of any reduced array it produced.
-        if (ThreadInTeam == 0 && !StageFolds[Stage].empty() &&
-            (Pass.BarrierAfter || IslandP.NumThreads == 1))
-          foldPassReduction(IS, static_cast<size_t>(Island), CurStep, Pass);
         PrevBarrier = Pass.BarrierAfter;
       }
     }

@@ -109,15 +109,16 @@ struct ExecutorOptions {
   /// the simulator reports, so predicted-vs-predicted parity is exact.
   /// When null, ExecStats::PredictedIslandSkew stays 0.0.
   const MachineModel *Machine = nullptr;
-  /// Combiners for the program's declared reductions (see ReductionBinding
-  /// in stencil/StencilIR.h; workloads registered in the WorkloadRegistry
-  /// carry them). Must cover every declared reduction — checked at
-  /// construction. After each fused step, the team's thread 0 folds its
-  /// island's share of each reduced array right after the producing pass's
-  /// barrier; the per-island partials are combined in island order at the
+  /// Row folds for the program's declared reductions (see
+  /// ReductionBinding in stencil/StencilIR.h; workloads registered in the
+  /// WorkloadRegistry carry them). Must cover every declared reduction —
+  /// checked at construction. Every worker folds the rows it has just
+  /// computed of each reduced array (its static sub-region, or each chunk
+  /// it runs under stealing) into its own partial slot, one Fold call per
+  /// k-row; the per-worker partials are combined in worker order at the
   /// next global barrier, so every schedule yields values bit-identical to
-  /// the serial stepper's canonical scan (the combiner contract makes the
-  /// fold order and the islands' redundant cone overlap immaterial).
+  /// the serial stepper's canonical scan (the fold contract makes the fold
+  /// order and the islands' redundant cone overlap immaterial).
   std::vector<ReductionBinding> Reductions;
 };
 
@@ -205,10 +206,9 @@ private:
   void importEpochInputs(IslandState &IS, int Worker, int ThreadInTeam,
                          int NumThreads);
   void runPlacementEpoch();
-  double &partialAt(size_t Island, int StepInEpoch, size_t R);
-  void resetIslandPartials(size_t Island);
-  void foldPassReduction(IslandState &IS, size_t Island, int StepInEpoch,
-                         const StagePass &Pass);
+  double &partialAt(int Worker, int StepInEpoch, size_t R);
+  void foldRows(const IslandState &IS, int Worker, int StepInEpoch,
+                StageId Stage, const Box3 &Sub);
   void appendEpochReductions();
 
   StencilProgram Program;
@@ -238,14 +238,18 @@ private:
   int64_t PagesTouched = 0; ///< Pages zeroed by the placement epoch.
 
   /// Reduction machinery (empty when the program declares none).
-  /// Reductions holds the combiners in ReductionDef order;
+  /// Reductions holds the row folds in ReductionDef order;
   /// StageFolds[stage] lists the reduction indices the stage produces;
-  /// Partials is the (island, step-in-epoch, reduction) scratch the teams'
-  /// thread 0s write (reset per epoch, combined at global barriers);
-  /// ReductionLog accumulates the per-step global values.
+  /// Partials holds one slot per (worker, step-in-epoch, reduction), each
+  /// on its own cache line, written only by its worker (reset per epoch,
+  /// combined at global barriers); ReductionLog accumulates the per-step
+  /// global values.
+  struct alignas(64) PartialSlot {
+    double Value = 0.0;
+  };
   std::vector<ReductionBinding> Reductions;
   std::vector<std::vector<size_t>> StageFolds;
-  std::vector<double> Partials;
+  std::vector<PartialSlot> Partials;
   std::vector<std::vector<double>> ReductionLog;
 
   bool Profiling = false;

@@ -226,12 +226,12 @@ void checkIntraIsland(const StencilProgram &Program, const IslandSchedule &S,
     Begin = P + 1;
   }
 
-  // A declared reduction is an all-threads dependence the pass-pair
-  // conflict query cannot see: the executor folds the whole pass region
-  // of the reduced array's producer on the team's thread 0 right after
-  // the pass, reading every teammate's sub-region. That read is ordered
-  // only by the pass's own trailing barrier, so eliding it races even
-  // when no later pass reads the array at all.
+  // A pass producing a reduced array must keep its trailing barrier.
+  // The rule is conservative: the executor folds each worker's reduction
+  // partial from the rows that worker has just written and combines the
+  // partials at the global barrier, so eliding this barrier would not
+  // race. It stays pinned (and flagged here) until retiring it is proved
+  // across the plan space.
   for (size_t P = 0; P != S.Passes.size(); ++P) {
     const ScheduledPass &Pass = S.Passes[P];
     if (Pass.BarrierAfter || !Program.stageWritesReduced(Pass.Stage))
@@ -246,8 +246,9 @@ void checkIntraIsland(const StencilProgram &Program, const IslandSchedule &S,
           Severity::Error, Id,
           formatString("island %d: stage '%s' produces reduced array '%s' "
                        "(reduction '%s') but its pass has no trailing "
-                       "barrier; the runtime's reduction fold reads the "
-                       "whole pass region cross-thread",
+                       "barrier; reduction producers keep their barrier "
+                       "(a conservative pin: each worker folds only the "
+                       "rows it wrote)",
                        S.Index, Program.stage(Pass.Stage).Name.c_str(),
                        Program.array(R.Array).Name.c_str(),
                        R.Name.c_str()));

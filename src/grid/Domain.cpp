@@ -11,20 +11,24 @@ using namespace icores;
 
 namespace {
 
-/// Shared halo-filling walk parameterized over the source-index mapping.
+/// Shared halo-filling walk over the alloc box's i-planes [ILo, IHi),
+/// parameterized over the source-index mapping.
 ///
 /// Every read resolves to a core cell (the map sends any index into
-/// [0, Extent)), so the k-interior segment of a halo (i, j) row is a
-/// contiguous copy of the mapped core row — one memcpy per row. Only the
-/// k-halo cells of each row need the element-wise mapped gather.
+/// [0, Extent)) and every write is a halo cell, so walks over disjoint
+/// i-plane ranges may run concurrently. The k-interior segment of a halo
+/// (i, j) row is a contiguous copy of the mapped core row — one memcpy
+/// per row. Only the k-halo cells of each row need the element-wise
+/// mapped gather.
 template <typename MapFn>
-void fillHaloWith(const Domain &Dom, Array3D &A, MapFn &&Map) {
+void fillHaloWith(const Domain &Dom, Array3D &A, int ILo, int IHi,
+                  MapFn &&Map) {
   Box3 Alloc = Dom.allocBox();
   ICORES_CHECK(A.indexSpace().containsBox(Alloc),
                "array does not cover the domain's alloc box");
   int NI = Dom.ni(), NJ = Dom.nj(), NK = Dom.nk();
   const size_t CoreRowBytes = static_cast<size_t>(NK) * sizeof(double);
-  for (int I = Alloc.Lo[0]; I != Alloc.Hi[0]; ++I) {
+  for (int I = ILo; I < IHi; ++I) {
     int SI = Map(I, NI);
     for (int J = Alloc.Lo[1]; J != Alloc.Hi[1]; ++J) {
       int SJ = Map(J, NJ);
@@ -41,24 +45,44 @@ void fillHaloWith(const Domain &Dom, Array3D &A, MapFn &&Map) {
   }
 }
 
+/// Fills the halo cells of the alloc box's i-planes [ILo, IHi) of \p A
+/// under boundary mode \p Mode.
+void fillHaloPlanes(const Domain &Dom, Array3D &A, BoundaryMode Mode,
+                    int ILo, int IHi) {
+  if (Mode == BoundaryMode::Periodic) {
+    int H = Dom.haloDepth();
+    ICORES_CHECK(H <= Dom.ni() && H <= Dom.nj() && H <= Dom.nk(),
+                 "halo deeper than the domain; wrap would alias twice");
+    fillHaloWith(Dom, A, ILo, IHi, [](int Index, int Extent) {
+      return Domain::wrapIndex(Index, Extent);
+    });
+  } else {
+    fillHaloWith(Dom, A, ILo, IHi, [](int Index, int Extent) {
+      return Domain::clampIndex(Index, Extent);
+    });
+  }
+}
+
 } // namespace
 
-void Domain::fillHalo(Array3D &A) const {
-  if (Boundary == BoundaryMode::Periodic)
-    fillHaloPeriodic(A);
-  else
-    fillHaloZeroGradient(A);
+void Domain::fillHalo(Array3D &A) const { fillHaloSlice(A, 0, 1); }
+
+void Domain::fillHaloSlice(Array3D &A, int Part, int Parts) const {
+  ICORES_CHECK(Parts > 0 && Part >= 0 && Part < Parts,
+               "halo slice index out of range");
+  const Box3 Alloc = allocBox();
+  const int64_t Extent = Alloc.extent(0);
+  fillHaloPlanes(*this, A, Boundary,
+                 Alloc.Lo[0] + static_cast<int>(Extent * Part / Parts),
+                 Alloc.Lo[0] + static_cast<int>(Extent * (Part + 1) / Parts));
 }
 
 void Domain::fillHaloPeriodic(Array3D &A) const {
-  ICORES_CHECK(Halo <= NI && Halo <= NJ && Halo <= NK,
-               "halo deeper than the domain; wrap would alias twice");
-  fillHaloWith(*this, A,
-               [](int Index, int Extent) { return wrapIndex(Index, Extent); });
+  fillHaloPlanes(*this, A, BoundaryMode::Periodic, allocBox().Lo[0],
+                 allocBox().Hi[0]);
 }
 
 void Domain::fillHaloZeroGradient(Array3D &A) const {
-  fillHaloWith(*this, A, [](int Index, int Extent) {
-    return clampIndex(Index, Extent);
-  });
+  fillHaloPlanes(*this, A, BoundaryMode::ZeroGradient, allocBox().Lo[0],
+                 allocBox().Hi[0]);
 }

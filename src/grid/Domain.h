@@ -72,6 +72,14 @@ public:
   /// allocBox().
   void fillHalo(Array3D &A) const;
 
+  /// Part \p Part of \p Parts of fillHalo(): the halo cells of allocBox()'s
+  /// i-planes [Lo + E * Part / Parts, Lo + E * (Part + 1) / Parts), E the
+  /// allocated i-extent (empty when Parts > E leaves the slice no plane).
+  /// Every read is a core cell and every write a halo cell, so the Parts
+  /// slices of one array may be filled concurrently, and together they
+  /// write exactly what fillHalo() writes.
+  void fillHaloSlice(Array3D &A, int Part, int Parts) const;
+
   /// Periodic variant of fillHalo(), regardless of the domain's mode.
   void fillHaloPeriodic(Array3D &A) const;
 

@@ -60,16 +60,16 @@ void SerialStepper::step() {
   for (unsigned S = 0; S != Program.numStages(); ++S)
     Kernels.run(Fields, static_cast<StageId>(S), Req.StageRegion[S]);
   // Fold the freshly produced outputs before the feedback swap: the
-  // canonical i,j,k core scan is the reduction oracle every threaded
-  // schedule must reproduce bit for bit.
+  // canonical i,j,k core scan, one k-row per fold call, is the reduction
+  // oracle every threaded schedule must reproduce bit for bit.
   for (size_t R = 0; R != Reductions.size(); ++R) {
     const Array3D &Arr = array(Program.reductions()[R].Array);
     const Box3 Core = Dom.coreBox();
     double V = Reductions[R].Identity;
     for (int I = Core.Lo[0]; I != Core.Hi[0]; ++I)
       for (int J = Core.Lo[1]; J != Core.Hi[1]; ++J)
-        for (int K = Core.Lo[2]; K != Core.Hi[2]; ++K)
-          V = Reductions[R].Combine(V, Arr.at(I, J, K));
+        V = Reductions[R].Fold(V, Arr.pointerTo(I, J, Core.Lo[2]),
+                               Core.extent(2));
     ReductionLog[R].push_back(V);
   }
   for (const FeedbackPair &FB : Program.feedbacks())

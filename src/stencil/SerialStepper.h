@@ -33,7 +33,7 @@ class SerialStepper {
 public:
   /// The domain's halo depth must cover the program's input halo (checked).
   /// When the program declares reductions, \p Reductions must bind a
-  /// combiner for each of them (by name, checked).
+  /// row fold for each of them (by name, checked).
   SerialStepper(StencilProgram Program, KernelTable Kernels,
                 const Domain &Dom,
                 std::vector<ReductionBinding> Reductions = {});
@@ -68,7 +68,7 @@ private:
   RegionRequirements Req;
   FieldStore Fields;
   std::map<ArrayId, Array3D> External; ///< Step inputs and outputs.
-  /// Combiners in ReductionDef order, resolved by name at construction.
+  /// Row folds in ReductionDef order, resolved by name at construction.
   std::vector<ReductionBinding> Reductions;
   std::vector<std::vector<double>> ReductionLog; ///< Per reduction.
 };

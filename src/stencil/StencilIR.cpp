@@ -82,8 +82,8 @@ icores::orderedReductionBindings(const StencilProgram &Program,
     for (const ReductionBinding &B : Bindings)
       if (B.Name == Def.Name)
         Found = &B;
-    ICORES_CHECK(Found && Found->Combine,
-                 "program reduction has no callable combiner binding");
+    ICORES_CHECK(Found && Found->Fold,
+                 "program reduction has no callable fold binding");
     Ordered.push_back(*Found);
   }
   return Ordered;

@@ -109,7 +109,7 @@ struct FeedbackPair {
 /// single scalar (e.g. a CFL number or a max norm). The declaration is
 /// structural — which array, under which name — so every plan-level
 /// consumer (ScheduleCheck, ScheduleOptimizer, the registry) can reason
-/// about the all-threads dependence it creates; the executable combiner
+/// about the all-threads dependence it creates; the executable row fold
 /// lives in a ReductionBinding, exactly as kernels live in a KernelTable
 /// apart from their StageDefs.
 struct ReductionDef {
@@ -117,19 +117,26 @@ struct ReductionDef {
   ArrayId Array = 0; ///< The reduced StepOutput array.
 };
 
-/// Executable half of a reduction: the fold the runtimes apply over the
-/// reduced array's values, keyed by the ReductionDef name.
+/// Executable half of a reduction: the row fold the runtimes apply over
+/// the reduced array's values, keyed by the ReductionDef name.
 ///
-/// Contract: Combine must be associative, commutative and duplicate
+/// Fold(Acc, Row, Count) folds the Count >= 0 contiguous values at Row
+/// into Acc and returns the result (Acc itself when Count == 0). The
+/// runtimes call it once per unit-stride k-row: SerialStepper on its
+/// canonical i,j,k core scan, ProgramExecutor on the rows each worker has
+/// just written, and again with Count == 1 to combine the workers'
+/// partials.
+///
+/// Contract: the fold must be associative, commutative and duplicate
 /// tolerant (folding the same value twice must not change the result —
 /// max/min/absmax-style folds qualify, a plain sum does not). Temporal
 /// islands plans evaluate overlapping dependence cones redundantly, so a
 /// cell's bit-identical value may enter the fold once per island; the
 /// contract is what keeps every schedule's reduction bit-identical to the
-/// serial stepper's canonical i,j,k scan.
+/// serial stepper's scan, whatever rows each worker folds.
 struct ReductionBinding {
   std::string Name; ///< Matches a ReductionDef of the program.
-  std::function<double(double, double)> Combine;
+  std::function<double(double Acc, const double *Row, int Count)> Fold;
   double Identity = 0.0; ///< Fold seed (and value over an empty region).
 };
 
@@ -213,7 +220,7 @@ ArrayId findArrayId(const StencilProgram &Program, const std::string &Name);
 
 /// Reorders \p Bindings into the program's ReductionDef order, checking
 /// (fatally) that every declared reduction has a binding with a callable
-/// Combine. A program without reductions yields an empty list. Runtimes
+/// Fold. A program without reductions yields an empty list. Runtimes
 /// use this so their fold loops can index bindings and declarations in
 /// lockstep; the registry reports the same mismatches as structured
 /// `registry.*` findings before any runtime is constructed.

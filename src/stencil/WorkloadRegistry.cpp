@@ -49,18 +49,18 @@ bool WorkloadRegistry::add(WorkloadSpec Spec, DiagnosticEngine &Diags) {
             .note("needed", formatString("%d", Depth[D]))
             .note("declared", formatString("%d", Spec.HaloDepth));
 
-    // Reduction contract: every declared reduction needs a callable
-    // combiner, and every binding must name a declared reduction.
+    // Reduction contract: every declared reduction needs a callable row
+    // fold, and every binding must name a declared reduction.
     for (const ReductionDef &Def : Spec.Program.reductions()) {
       const ReductionBinding *Found = nullptr;
       for (const ReductionBinding &B : Spec.Reductions)
         if (B.Name == Def.Name)
           Found = &B;
-      if (!Found || !Found->Combine)
+      if (!Found || !Found->Fold)
         Diags
             .report(Severity::Error, "registry.reduction.missing-combiner",
                     formatString("workload '%s': reduction '%s' is declared "
-                                 "but has no callable combiner",
+                                 "but has no callable fold",
                                  Spec.Name.c_str(), Def.Name.c_str()))
             .note("workload", Spec.Name)
             .note("reduction", Def.Name);
@@ -72,7 +72,7 @@ bool WorkloadRegistry::add(WorkloadSpec Spec, DiagnosticEngine &Diags) {
       if (!Declared)
         Diags
             .report(Severity::Error, "registry.reduction.unknown",
-                    formatString("workload '%s': combiner '%s' matches no "
+                    formatString("workload '%s': fold '%s' matches no "
                                  "declared reduction",
                                  Spec.Name.c_str(), B.Name.c_str()))
             .note("workload", Spec.Name)

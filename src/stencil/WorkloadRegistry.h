@@ -19,7 +19,7 @@
 /// structural validation and layers the registry's own contract checks on
 /// top (unique names, declared halo covering the program's dependence
 /// cone, kernel tables covering every stage for every advertised variant,
-/// a combiner bound for every declared reduction, seeded init present).
+/// a row fold bound for every declared reduction, seeded init present).
 /// Violations are reported as structured `registry.*` findings into the
 /// caller's DiagnosticEngine — misregistration is a diagnosable event,
 /// never a crash — and a spec with errors is not registered.
@@ -81,7 +81,7 @@ struct WorkloadSpec {
   /// Seeded initial conditions (fills step-input cores; deterministic in
   /// the seed so every runner pair initialised alike compares bit-exact).
   std::function<void(const WorkloadInitContext &)> Init;
-  /// Combiners for the program's declared reductions, keyed by name.
+  /// Row folds for the program's declared reductions, keyed by name.
   std::vector<ReductionBinding> Reductions;
 };
 

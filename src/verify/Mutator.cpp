@@ -109,10 +109,11 @@ bool icores::applyMutation(ExecutionPlan &Plan, const StencilProgram &Program,
         for (size_t P = 0; P + 1 < Passes.size(); ++P)
           if (dropBarrierRaces(Program, Island, Passes[P], Passes[P + 1]))
             Cands.push_back({I, B, P});
-        // A pass producing a reduced array races without its barrier by
-        // construction: the runtime folds the whole pass region on the
-        // team's thread 0 right after it. These mutants are killed by
-        // the `race.intra.reduction` finding.
+        // A pass producing a reduced array keeps its barrier under a
+        // conservative pin (the runtime folds each worker's own rows, so
+        // the dropped barrier would not race at run time). These mutants
+        // are killed by the `race.intra.reduction` finding that enforces
+        // the pin.
         for (size_t P = 0; P != Passes.size(); ++P)
           if (Island.NumThreads > 1 && Passes[P].BarrierAfter &&
               !Passes[P].Region.empty() &&

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
+#include <vector>
+
 using namespace icores;
 
 TEST(Box3Test, ExtentsAndPoints) {
@@ -267,4 +271,82 @@ TEST(DomainTest, HaloFillPreservesCore) {
   Before.copyRegionFrom(A, D.coreBox());
   D.fillHaloPeriodic(A);
   EXPECT_DOUBLE_EQ(A.maxAbsDiff(Before, D.coreBox()), 0.0);
+}
+
+namespace {
+
+/// An alloc-box array whose every cell (halo included) holds a distinct
+/// value, so a halo cell left unwritten or written twice differently
+/// shows up in a bitwise comparison.
+Array3D distinctCells(const Domain &D, int PadK) {
+  Array3D A(D.allocBox(), PadK);
+  Box3 Alloc = D.allocBox();
+  for (int I = Alloc.Lo[0]; I != Alloc.Hi[0]; ++I)
+    for (int J = Alloc.Lo[1]; J != Alloc.Hi[1]; ++J)
+      for (int K = Alloc.Lo[2]; K != Alloc.Hi[2]; ++K)
+        A.at(I, J, K) = 0.5 + I * 1e4 + J * 1e2 + K +
+                        (D.coreBox().contains(I, J, K) ? 0.0 : -1e7);
+  return A;
+}
+
+bool sameBits(const Array3D &A, const Array3D &B) {
+  return A.paddedBytes() == B.paddedBytes() &&
+         std::memcmp(A.data(), B.data(),
+                     static_cast<size_t>(A.paddedBytes())) == 0;
+}
+
+} // namespace
+
+TEST(DomainHaloSlice, SlicesTogetherEqualFillHaloBitForBit) {
+  for (BoundaryMode Mode :
+       {BoundaryMode::Periodic, BoundaryMode::ZeroGradient})
+    for (int PadK : {0, Array3D::VectorPadK}) {
+      Domain D(5, 4, 6, 2, Mode);
+      Array3D Whole = distinctCells(D, PadK);
+      D.fillHalo(Whole);
+      const int Extent = D.allocBox().extent(0);
+      for (int Parts = 1; Parts <= Extent + 1; ++Parts) {
+        SCOPED_TRACE(testing::Message()
+                     << "mode " << static_cast<int>(Mode) << ", pad "
+                     << PadK << ", parts " << Parts);
+        Array3D Sliced = distinctCells(D, PadK);
+        // Back to front: the slices do not depend on one another.
+        for (int Part = Parts - 1; Part >= 0; --Part)
+          D.fillHaloSlice(Sliced, Part, Parts);
+        EXPECT_TRUE(sameBits(Sliced, Whole));
+      }
+    }
+}
+
+TEST(DomainHaloSlice, PartsBeyondTheExtentLeaveEmptySlices) {
+  Domain D(2, 3, 3, 1);
+  const int Extent = D.allocBox().extent(0);
+  const int Parts = Extent + 3;
+  Array3D Untouched = distinctCells(D, 0);
+  int Empty = 0;
+  for (int Part = 0; Part != Parts; ++Part) {
+    Array3D A = distinctCells(D, 0);
+    D.fillHaloSlice(A, Part, Parts);
+    Empty += sameBits(A, Untouched);
+  }
+  EXPECT_EQ(Empty, Parts - Extent) << "one i-plane per non-empty slice";
+}
+
+TEST(DomainHaloSlice, ConcurrentSlicesEqualFillHalo) {
+  // The executor fills one slice per worker at once; the slices' writes
+  // are disjoint and they read only core cells.
+  for (BoundaryMode Mode :
+       {BoundaryMode::Periodic, BoundaryMode::ZeroGradient}) {
+    Domain D(7, 5, 9, 2, Mode);
+    Array3D Whole = distinctCells(D, Array3D::VectorPadK);
+    D.fillHalo(Whole);
+    Array3D Sliced = distinctCells(D, Array3D::VectorPadK);
+    const int Parts = 4;
+    std::vector<std::thread> Threads;
+    for (int Part = 0; Part != Parts; ++Part)
+      Threads.emplace_back([&, Part] { D.fillHaloSlice(Sliced, Part, Parts); });
+    for (std::thread &T : Threads)
+      T.join();
+    EXPECT_TRUE(sameBits(Sliced, Whole));
+  }
 }

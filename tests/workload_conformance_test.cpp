@@ -100,11 +100,11 @@ TEST_P(WorkloadConformance, RegistrationContractHolds) {
       inputHaloDepth(Spec.Program, Box3::fromExtents(8, 8, 8));
   for (int D = 0; D != 3; ++D)
     EXPECT_LE(Depth[D], Spec.HaloDepth) << "dimension " << D;
-  // Every declared reduction has a callable combiner bound.
+  // Every declared reduction has a callable row fold bound.
   for (const ReductionDef &Def : Spec.Program.reductions()) {
     bool Bound = false;
     for (const ReductionBinding &B : Spec.Reductions)
-      Bound |= B.Name == Def.Name && static_cast<bool>(B.Combine);
+      Bound |= B.Name == Def.Name && static_cast<bool>(B.Fold);
     EXPECT_TRUE(Bound) << "reduction " << Def.Name;
   }
 }

@@ -142,24 +142,37 @@ TEST(WorkloadRegistryTest, ReductionWithoutCombinerIsAFinding) {
 }
 
 TEST(WorkloadRegistryTest, NullCombinerCallbackIsAFinding) {
-  // A binding whose std::function is empty is as unusable as no binding.
+  // A binding whose row fold is an empty std::function is as unusable as
+  // no binding.
   WorkloadSpec Spec = makeTinySpec();
   Spec.Program.addReduction({"norm", makeTinyApp().Out});
-  Spec.Reductions.push_back({"norm", nullptr, 0.0});
+  ReductionBinding Empty;
+  Empty.Name = "norm";
+  ASSERT_FALSE(Empty.Fold);
+  Spec.Reductions.push_back(Empty);
   WorkloadRegistry R;
   DiagnosticEngine Diags;
   EXPECT_FALSE(R.add(Spec, Diags));
   EXPECT_TRUE(hasFinding(Diags, "registry.reduction.missing-combiner"));
+  EXPECT_EQ(R.size(), 0u);
 }
 
 TEST(WorkloadRegistryTest, BindingForUndeclaredReductionIsAFinding) {
+  // A well-formed row fold is still rejected when no declared reduction
+  // carries its name.
   WorkloadSpec Spec = makeTinySpec();
-  Spec.Reductions.push_back(
-      {"ghost", [](double A, double B) { return A > B ? A : B; }, 0.0});
+  Spec.Reductions.push_back({"ghost",
+                             [](double Acc, const double *Row, int Count) {
+                               for (int K = 0; K != Count; ++K)
+                                 Acc = Acc > Row[K] ? Acc : Row[K];
+                               return Acc;
+                             },
+                             0.0});
   WorkloadRegistry R;
   DiagnosticEngine Diags;
   EXPECT_FALSE(R.add(Spec, Diags));
   EXPECT_TRUE(hasFinding(Diags, "registry.reduction.unknown"));
+  EXPECT_EQ(R.size(), 0u);
 }
 
 TEST(WorkloadRegistryTest, EmptyVariantListIsAFinding) {
