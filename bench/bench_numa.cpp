@@ -8,10 +8,12 @@
 // as the serial-init vs parallel-init gap on the UV 2000.
 //
 // For each strategy, temporal depth and placement policy the bench runs
-// the real threaded executor with the placement init epoch armed (workers
-// pinned best-effort; rejections are counted, never fatal), records the
-// executor's remote-traffic estimate from its placement map, and compares
-// it against the simulator's projection for the same plan. Results land
+// the real threaded executor on a plan carrying that policy, which its
+// placement init epoch enforces (workers pinned best-effort for the
+// first-touch and interleave runs; rejections are counted, never fatal),
+// records the executor's remote-traffic estimate from its placement map,
+// and compares it against the simulator's projection for the same plan.
+// Results land
 // in BENCH_numa.json (schema icores.bench.v2, "placement" rows; see
 // bench/validate_bench_json.py).
 //
@@ -86,7 +88,6 @@ RunResult runOnce(const MpdataProgram &M, Strategy Strat, int Depth,
   MachineModel Host;
   ExecutionPlan Plan = makePlan(M, Strat, Depth, Place, NumIslands, Host);
   ExecutorOptions Opts;
-  Opts.Placement = Place;
   if (Place != PlacementPolicy::None)
     Opts.Pinning = computeThreadPlacement(Plan, Host);
   PlanExecutor Exec(Dom, std::move(Plan), KernelVariant::Reference, Opts);

@@ -19,19 +19,6 @@ using namespace icores;
 
 namespace {
 
-/// Fills the core region of \p A with deterministic values in [Lo, Hi);
-/// unlike fillRandomPositive, the range may include negative values
-/// (velocity components).
-void fillRandomSigned(Array3D &A, const Domain &D, uint64_t Seed, double Lo,
-                      double Hi) {
-  SplitMix64 Rng(Seed);
-  Box3 Core = D.coreBox();
-  for (int I = Core.Lo[0]; I != Core.Hi[0]; ++I)
-    for (int J = Core.Lo[1]; J != Core.Hi[1]; ++J)
-      for (int K = Core.Lo[2]; K != Core.Hi[2]; ++K)
-        A.at(I, J, K) = Rng.nextInRange(Lo, Hi);
-}
-
 bool registerMpdata(WorkloadRegistry &R, DiagnosticEngine &Diags) {
   MpdataProgram M = buildMpdataProgram();
   WorkloadSpec Spec;
@@ -55,11 +42,11 @@ bool registerMpdata(WorkloadRegistry &R, DiagnosticEngine &Diags) {
     Blob.CenterJ = D.nj() / 2.0 + Rng.nextInRange(-1.5, 1.5);
     Blob.CenterK = D.nk() / 2.0 + Rng.nextInRange(-1.5, 1.5);
     Blob.Sigma = 2.5;
-    fillGaussian(Ctx.Array(XIn), D, Blob);
-    Ctx.Array(U1).fill(0.25);
-    Ctx.Array(U2).fill(-0.2);
-    Ctx.Array(U3).fill(0.1);
-    Ctx.Array(H).fill(1.0);
+    fillGaussian(Ctx.Array(XIn), D, Blob, Ctx.Region);
+    Ctx.Array(U1).fillRegion(Ctx.Region, 0.25);
+    Ctx.Array(U2).fillRegion(Ctx.Region, -0.2);
+    Ctx.Array(U3).fillRegion(Ctx.Region, 0.1);
+    Ctx.Array(H).fillRegion(Ctx.Region, 1.0);
   };
   Spec.Program = std::move(M.Program);
   return R.add(std::move(Spec), Diags);
@@ -77,13 +64,13 @@ bool registerAdvDiff(WorkloadRegistry &R, DiagnosticEngine &Diags) {
   ArrayId Phi = A.Phi, U1 = A.U1, U2 = A.U2, U3 = A.U3, Kappa = A.Kappa;
   Spec.Init = [Phi, U1, U2, U3, Kappa](const WorkloadInitContext &Ctx) {
     const Domain &D = Ctx.Dom;
-    fillRandomPositive(Ctx.Array(Phi), D, Ctx.Seed ^ 0x6164760000000001ULL,
-                       0.5, 1.5);
-    fillRandomPositive(Ctx.Array(Kappa), D, Ctx.Seed ^ 0x6164760000000002ULL,
-                       0.02, 0.08);
-    Ctx.Array(U1).fill(0.2);
-    Ctx.Array(U2).fill(-0.15);
-    Ctx.Array(U3).fill(0.1);
+    fillRandomUniform(Ctx.Array(Phi), D, Ctx.Seed ^ 0x6164760000000001ULL,
+                      0.5, 1.5, Ctx.Region);
+    fillRandomUniform(Ctx.Array(Kappa), D, Ctx.Seed ^ 0x6164760000000002ULL,
+                      0.02, 0.08, Ctx.Region);
+    Ctx.Array(U1).fillRegion(Ctx.Region, 0.2);
+    Ctx.Array(U2).fillRegion(Ctx.Region, -0.15);
+    Ctx.Array(U3).fillRegion(Ctx.Region, 0.1);
   };
   Spec.Program = std::move(A.Program);
   return R.add(std::move(Spec), Diags);
@@ -102,16 +89,16 @@ bool registerCflAdvection(WorkloadRegistry &R, DiagnosticEngine &Diags) {
   ArrayId Q = A.Q, U1 = A.U1, U2 = A.U2, U3 = A.U3;
   Spec.Init = [Q, U1, U2, U3](const WorkloadInitContext &Ctx) {
     const Domain &D = Ctx.Dom;
-    fillRandomPositive(Ctx.Array(Q), D, Ctx.Seed ^ 0x63666c0000000001ULL, 0.5,
-                       1.5);
+    fillRandomUniform(Ctx.Array(Q), D, Ctx.Seed ^ 0x63666c0000000001ULL, 0.5,
+                      1.5, Ctx.Region);
     // Spatially varying velocities; |u1|+|u2|+|u3| stays below 0.9, so
     // the reported CFL is meaningful for a unit-timestep donor scheme.
-    fillRandomSigned(Ctx.Array(U1), D, Ctx.Seed ^ 0x63666c0000000002ULL, -0.3,
-                     0.3);
-    fillRandomSigned(Ctx.Array(U2), D, Ctx.Seed ^ 0x63666c0000000003ULL, -0.3,
-                     0.3);
-    fillRandomSigned(Ctx.Array(U3), D, Ctx.Seed ^ 0x63666c0000000004ULL, -0.3,
-                     0.3);
+    fillRandomUniform(Ctx.Array(U1), D, Ctx.Seed ^ 0x63666c0000000002ULL,
+                      -0.3, 0.3, Ctx.Region);
+    fillRandomUniform(Ctx.Array(U2), D, Ctx.Seed ^ 0x63666c0000000003ULL,
+                      -0.3, 0.3, Ctx.Region);
+    fillRandomUniform(Ctx.Array(U3), D, Ctx.Seed ^ 0x63666c0000000004ULL,
+                      -0.3, 0.3, Ctx.Region);
   };
   Spec.Program = std::move(A.Program);
   return R.add(std::move(Spec), Diags);
@@ -132,10 +119,10 @@ bool registerHotspot(WorkloadRegistry &R, DiagnosticEngine &Diags) {
     // A die that starts near ambient with seed-jittered spatial noise,
     // heated by a static random power map (a few hot cells on a cool
     // background, like a floorplan's active blocks).
-    fillRandomPositive(Ctx.Array(T), D, Ctx.Seed ^ 0x686f740000000001ULL,
-                       HotspotTamb - 2.0, HotspotTamb + 2.0);
-    fillRandomPositive(Ctx.Array(Power), D,
-                       Ctx.Seed ^ 0x686f740000000002ULL, 0.0, 2.0);
+    fillRandomUniform(Ctx.Array(T), D, Ctx.Seed ^ 0x686f740000000001ULL,
+                      HotspotTamb - 2.0, HotspotTamb + 2.0, Ctx.Region);
+    fillRandomUniform(Ctx.Array(Power), D, Ctx.Seed ^ 0x686f740000000002ULL,
+                      0.0, 2.0, Ctx.Region);
   };
   Spec.Program = std::move(A.Program);
   return R.add(std::move(Spec), Diags);

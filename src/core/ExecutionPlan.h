@@ -104,6 +104,8 @@ struct IslandPlan {
 /// A complete single-time-step plan.
 struct ExecutionPlan {
   Strategy Strat = Strategy::Original;
+  /// NUMA page placement: priced by the simulator and the placement model,
+  /// and enforced by ProgramExecutor's placement init epoch.
   PagePlacement Placement = PagePlacement::FirstTouch;
   BalancePolicy Balance = BalancePolicy::Uniform;
   Box3 GlobalTarget;

@@ -154,13 +154,14 @@ struct ExecStats {
   int64_t FaultTimeouts = 0;
   int64_t FaultsRecovered = 0;
 
-  // NUMA placement fields (schema v4). Placement is the policy the
-  // executor enforced ("none" when it allocated serially); RemoteBytesEst
-  // is the placement model's remote-DRAM byte estimate accumulated over
-  // all run() calls (core/PlacementMap.h — the same function the
-  // simulator projects with, so measured-vs-projected parity is exact);
-  // PagesFirstTouched counts pages the init epoch's pinned workers
-  // touched; PinFailures mirrors WorkerPool::pinFailures().
+  // NUMA placement fields (schema v4). Placement is the plan's policy,
+  // which the executor's init epoch enforced ("none": worker 0 touched
+  // every page); RemoteBytesEst is the placement model's remote-DRAM
+  // byte estimate accumulated over all run() calls (core/PlacementMap.h —
+  // the same function the simulator projects with, so measured-vs-
+  // projected parity is exact); PagesFirstTouched counts the bytes the
+  // init epoch zeroed, in pages (the same for every policy);
+  // PinFailures mirrors WorkerPool::pinFailures().
   std::string Placement = "none";
   int64_t RemoteBytesEst = 0;
   int64_t PagesFirstTouched = 0;

@@ -59,11 +59,6 @@ public:
   const ExecStats &stats() const { return Exec.stats(); }
   void resetStats() { Exec.resetStats(); }
 
-  /// Pinning passthrough (see ProgramExecutor::setThreadPinning).
-  void setThreadPinning(const std::vector<ThreadPlacement> &Placements) {
-    Exec.setThreadPinning(Placements);
-  }
-
   /// Advances \p Steps time steps with the plan's threads.
   void run(int Steps) { Exec.run(Steps); }
 

@@ -136,19 +136,13 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
                        "barrier (reduction producers keep a conservative "
                        "barrier pin)");
 
-  // With a placement policy armed every allocation is left untouched so
-  // the init epoch's pinned workers produce the first (page-homing) write;
-  // None keeps the historical serial zero-fill.
-  const bool Placing = Opts.Placement != PlacementPolicy::None;
+  // Every allocation is left untouched: the init epoch's workers produce
+  // the first (page-homing) write under the plan's placement policy.
   Box3 Alloc = Dom.allocBox();
   for (unsigned A = 0; A != Program.numArrays(); ++A) {
     ArrayId Id = static_cast<ArrayId>(A);
-    if (Program.array(Id).Role == ArrayRole::Intermediate)
-      continue;
-    if (Placing)
+    if (Program.array(Id).Role != ArrayRole::Intermediate)
       External[Id].resetUntouched(Alloc, Opts.PadKRows);
-    else
-      External.emplace(Id, Array3D(Alloc, Opts.PadKRows));
   }
 
   for (const IslandPlan &Island : Plan.Islands) {
@@ -170,13 +164,9 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
         continue;
       for (ArrayId Out : Program.stage(static_cast<StageId>(S)).Outputs)
         if (Program.array(Out).Role == ArrayRole::Intermediate &&
-            !IS->Store.isBound(Out)) {
-          if (Placing)
-            IS->Store.allocateOwnedUntouched(Out, StageUnion[S],
-                                             Opts.PadKRows);
-          else
-            IS->Store.allocateOwned(Out, StageUnion[S], Opts.PadKRows);
-        }
+            !IS->Store.isBound(Out))
+          IS->Store.allocateOwnedUntouched(Out, StageUnion[S],
+                                           Opts.PadKRows);
     }
 
     // Shared-traffic footprints from the actual pass regions: the union
@@ -218,23 +208,13 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
         BufBox[static_cast<size_t>(FB.Source)] = Paired;
       }
       for (ArrayId In : Program.stepInputs())
-        if (!BufBox[static_cast<size_t>(In)].empty()) {
-          if (Placing)
-            IS->Imports[In].resetUntouched(BufBox[static_cast<size_t>(In)],
-                                           Opts.PadKRows);
-          else
-            IS->Imports.emplace(
-                In, Array3D(BufBox[static_cast<size_t>(In)], Opts.PadKRows));
-        }
+        if (!BufBox[static_cast<size_t>(In)].empty())
+          IS->Imports[In].resetUntouched(BufBox[static_cast<size_t>(In)],
+                                         Opts.PadKRows);
       for (ArrayId Out : Program.stepOutputs())
-        if (!BufBox[static_cast<size_t>(Out)].empty()) {
-          if (Placing)
-            IS->Scratch[Out].resetUntouched(
-                BufBox[static_cast<size_t>(Out)], Opts.PadKRows);
-          else
-            IS->Scratch.emplace(
-                Out, Array3D(BufBox[static_cast<size_t>(Out)], Opts.PadKRows));
-        }
+        if (!BufBox[static_cast<size_t>(Out)].empty())
+          IS->Scratch[Out].resetUntouched(BufBox[static_cast<size_t>(Out)],
+                                          Opts.PadKRows);
       // Epoch import: every import buffer is gathered once from the
       // shared arrays.
       for (const auto &[Id, Buf] : IS->Imports)
@@ -276,60 +256,88 @@ ProgramExecutor::ProgramExecutor(StencilProgram AProgram,
   Partials.resize(WorkerCoords.size() *
                   static_cast<size_t>(Plan.TemporalDepth) * Reductions.size());
 
-  // Placement model: the page-ownership map under the requested policy and
-  // the remote slice of the per-epoch shared traffic it implies. Computed
-  // for every policy — None included — so profiled runs always report the
-  // remote stream their placement causes.
-  PMap = buildPlacementMap(Plan, Opts.Placement);
+  Stats.initLayout(Plan, Program.numStages());
+
+  // Placement model: the page-ownership map under the plan's policy — the
+  // one the simulator and the balance model price — and the remote slice
+  // of the per-epoch shared traffic it implies.
+  PMap = buildPlacementMap(Plan, Plan.Placement);
   for (const IslandPlan &Island : Plan.Islands)
     RemoteBytesPerEpoch +=
         estimateIslandRemoteEpochTraffic(Island, Plan, Program, PMap).total();
 
-  if (Placing) {
-    // Pin before the init epoch: first touch only homes pages on the right
-    // socket when the touching thread already sits there, and the pool is
-    // about to spawn for the epoch — setThreadPinning() afterwards would
-    // be too late. Callers pass pinning through the options instead.
-    if (!Opts.Pinning.empty())
-      setThreadPinning(Opts.Pinning);
-    if (Opts.HugePages) {
-      for (auto &[Id, Arr] : External)
-        Arr.adviseHugePages();
-      for (const auto &IS : IslandStates) {
-        for (auto &[Id, Buf] : IS->Imports)
-          Buf.adviseHugePages();
-        for (auto &[Id, Buf] : IS->Scratch)
-          Buf.adviseHugePages();
-      }
-    }
-    runPlacementEpoch();
-    for (auto &[Id, Arr] : External)
-      Arr.markPlaced();
+  // Pin before the init epoch spawns the pool: first touch only homes
+  // pages on the right socket when the touching thread already sits there.
+  if (!Opts.Pinning.empty()) {
+    std::vector<int> Cores;
+    for (const ThreadPlacement &P : Opts.Pinning)
+      Cores.push_back(P.GlobalCore);
+    Pool->setPinning(std::move(Cores));
   }
+  if (Opts.HugePages) {
+    for (auto &[Id, Arr] : External)
+      Arr.adviseHugePages();
+    for (const auto &IS : IslandStates) {
+      for (auto &[Id, Buf] : IS->Imports)
+        Buf.adviseHugePages();
+      for (auto &[Id, Buf] : IS->Scratch)
+        Buf.adviseHugePages();
+    }
+  }
+  runPlacementEpoch();
+  for (auto &[Id, Arr] : External)
+    Arr.markPlaced();
 
-  Stats.initLayout(Plan, Program.numStages());
-  Stats.Placement = placementPolicyName(Opts.Placement);
+  Stats.Placement = placementPolicyName(Plan.Placement);
   Stats.PagesFirstTouched = PagesTouched;
-  Stats.PinFailures = Pool->pinFailures();
   Stats.Stealing = Opts.Stealing;
   if (Opts.Machine)
     Stats.PredictedIslandSkew =
         predictedIslandSkew(Plan, Program, *Opts.Machine);
 }
 
-/// The placement init epoch: one pool dispatch in which every worker
-/// zero-fills the storage its policy assigns it, producing the first
-/// (page-homing) write of every allocation the constructor left untouched.
-/// FirstTouch: each island's team covers its arena segment of the shared
-/// arrays — split among the team threads in i/j like a kernel pass, so a
-/// multi-socket island spreads its segment across its sockets — plus all
-/// of its island-private buffers. The segments tile the allocation (see
-/// PlacementMap), so afterwards every element is zero, exactly as the
-/// serial constructor path leaves it. Interleave: the pages of every
-/// allocation, shared and private alike, round-robin across all workers.
-/// Either way the workers write pairwise-disjoint element ranges.
+/// Runs \p Job on every pool worker and mirrors the pool counters into
+/// the stats (they are maintained with profiling off too).
+void ProgramExecutor::dispatch(const std::function<void(int)> &Job) {
+  Pool->runOnAll(Job);
+  Stats.ThreadsSpawned = Pool->spawnedThreads();
+  Stats.PoolDispatches = Pool->dispatches();
+  Stats.PinFailures = Pool->pinFailures();
+}
+
+/// Worker \p Worker's share of the first-touch split: its thread's i/j
+/// slab of its island's arena segment (PlacementMap), over the
+/// allocation's whole k extent. The team splits the segment like a kernel
+/// pass, so a multi-socket island spreads its segment across its sockets;
+/// the segments tile the allocation, so the boxes of all workers do too.
+Box3 ProgramExecutor::firstTouchBox(int Worker) const {
+  auto [Island, ThreadInTeam] = WorkerCoords[static_cast<size_t>(Worker)];
+  // Split in i/j only: collapse k before splitting, then restore the full
+  // k span, so each thread owns whole padded rows and no two share a row.
+  Box3 Seg = PMap.arenaSegment(Island, Dom.allocBox());
+  Box3 Flat = Seg;
+  Flat.Lo[2] = 0;
+  Flat.Hi[2] = Seg.empty() ? 0 : 1;
+  Box3 Sub = teamSubRegion(
+      Flat, ThreadInTeam, Plan.Islands[static_cast<size_t>(Island)].NumThreads);
+  if (Sub.empty())
+    return Box3();
+  Sub.Lo[2] = Seg.Lo[2];
+  Sub.Hi[2] = Seg.Hi[2];
+  return Sub;
+}
+
+/// The placement init epoch: one pool dispatch in which the workers
+/// zero-fill every allocation the constructor left untouched, producing
+/// its first (page-homing) write under the plan's policy.
+/// None: worker 0 alone touches everything, so every page lands on the
+/// initialising thread's node. FirstTouch: each worker covers its
+/// firstTouchBox() of the shared arrays plus its 1/N slice of its
+/// island's private buffers. Interleave: the pages of every allocation,
+/// shared and private alike, round-robin across all workers. Either way
+/// the workers write pairwise-disjoint element ranges and afterwards every
+/// element is zero.
 void ProgramExecutor::runPlacementEpoch() {
-  const Box3 Alloc = Dom.allocBox();
   const int64_t PageBytes = placementPageBytes();
   const int TotalWorkers = static_cast<int>(WorkerCoords.size());
   std::vector<int64_t> BytesTouched(static_cast<size_t>(TotalWorkers), 0);
@@ -378,58 +386,60 @@ void ProgramExecutor::runPlacementEpoch() {
     return Bytes;
   };
 
-  Pool->runOnAll([&](int Worker) {
+  // Visits an island state's private storage in deterministic order.
+  auto forEachPrivate = [this](IslandState &State, auto &&Fn) {
+    for (auto &[Id, Buf] : State.Imports)
+      Fn(Buf);
+    for (auto &[Id, Buf] : State.Scratch)
+      Fn(Buf);
+    for (unsigned A = 0; A != Program.numArrays(); ++A) {
+      ArrayId Id = static_cast<ArrayId>(A);
+      if (Program.array(Id).Role == ArrayRole::Intermediate &&
+          State.Store.isBound(Id))
+        Fn(State.Store.get(Id));
+    }
+  };
+  // Visits every allocation: the shared arrays, then each island's.
+  auto forEachAllocation = [&](auto &&Fn) {
+    for (auto &[Id, Arr] : External)
+      Fn(Arr);
+    for (const auto &State : IslandStates)
+      forEachPrivate(*State, Fn);
+  };
+
+  dispatch([&](int Worker) {
     auto [Island, ThreadInTeam] = WorkerCoords[static_cast<size_t>(Worker)];
-    const IslandPlan &IP = Plan.Islands[static_cast<size_t>(Island)];
-    IslandState &IS = *IslandStates[static_cast<size_t>(Island)];
     int64_t Bytes = 0;
-
-    // Visits the island state's private storage in deterministic order.
-    auto forEachPrivate = [this](IslandState &State, auto &&Fn) {
-      for (auto &[Id, Buf] : State.Imports)
-        Fn(Buf);
-      for (auto &[Id, Buf] : State.Scratch)
-        Fn(Buf);
-      for (unsigned A = 0; A != Program.numArrays(); ++A) {
-        ArrayId Id = static_cast<ArrayId>(A);
-        if (Program.array(Id).Role == ArrayRole::Intermediate &&
-            State.Store.isBound(Id))
-          Fn(State.Store.get(Id));
-      }
-    };
-
-    if (Opts.Placement == PlacementPolicy::Interleave) {
-      // Every worker touches its page residues of every allocation.
+    switch (Plan.Placement) {
+    case PlacementPolicy::None:
+      if (Worker == 0)
+        forEachAllocation([&](Array3D &Arr) { Bytes += zeroSlice(Arr, 0, 1); });
+      break;
+    case PlacementPolicy::Interleave:
+      forEachAllocation(
+          [&](Array3D &Arr) { Bytes += zeroInterleaved(Arr, Worker); });
+      break;
+    case PlacementPolicy::FirstTouch: {
+      Box3 Sub = firstTouchBox(Worker);
       for (auto &[Id, Arr] : External)
-        Bytes += zeroInterleaved(Arr, Worker);
-      for (const auto &State : IslandStates)
-        forEachPrivate(*State, [&](Array3D &Buf) {
-          Bytes += zeroInterleaved(Buf, Worker);
-        });
-    } else { // FirstTouch
-      // Split the arena segment among the team in i/j only: collapse k
-      // before splitting, then restore the full k span, so each thread
-      // fills whole padded rows and no two threads share a row.
-      Box3 Seg = PMap.arenaSegment(Island, Alloc);
-      Box3 Flat = Seg;
-      Flat.Lo[2] = 0;
-      Flat.Hi[2] = Seg.empty() ? 0 : 1;
-      Box3 Sub = teamSubRegion(Flat, ThreadInTeam, IP.NumThreads);
-      if (!Sub.empty()) {
-        Sub.Lo[2] = Seg.Lo[2];
-        Sub.Hi[2] = Seg.Hi[2];
-        for (auto &[Id, Arr] : External)
-          Bytes += zeroRows(Arr, Sub);
-      }
-      forEachPrivate(IS, [&](Array3D &Buf) {
-        Bytes += zeroSlice(Buf, ThreadInTeam, IP.NumThreads);
-      });
+        Bytes += zeroRows(Arr, Sub);
+      const int TeamSize = Plan.Islands[static_cast<size_t>(Island)].NumThreads;
+      forEachPrivate(*IslandStates[static_cast<size_t>(Island)],
+                     [&](Array3D &Buf) {
+                       Bytes += zeroSlice(Buf, ThreadInTeam, TeamSize);
+                     });
+      break;
+    }
     }
     BytesTouched[static_cast<size_t>(Worker)] = Bytes;
   });
 
-  for (int64_t Bytes : BytesTouched)
-    PagesTouched += (Bytes + PageBytes - 1) / PageBytes;
+  // Every policy writes each byte of every allocation exactly once, so the
+  // page count is the same for all of them.
+  int64_t Bytes = 0;
+  for (int64_t B : BytesTouched)
+    Bytes += B;
+  PagesTouched = (Bytes + PageBytes - 1) / PageBytes;
 }
 
 ProgramExecutor::~ProgramExecutor() = default;
@@ -448,9 +458,27 @@ const Array3D &ProgramExecutor::array(ArrayId Id) const {
   return It->second;
 }
 
+void ProgramExecutor::seedInputs(const WorkloadInit &Init, uint64_t Seed) {
+  const Box3 Core = Dom.coreBox();
+  const WorkloadInitContext Whole{
+      Dom, Seed, Core, [this](ArrayId Id) -> Array3D & { return array(Id); }};
+  // Each worker writes the core cells of the pages it first-touched.
+  dispatch([&](int Worker) {
+    WorkloadInitContext Ctx = Whole;
+    Ctx.Region = firstTouchBox(Worker).intersect(Core);
+    if (!Ctx.Region.empty())
+      Init(Ctx);
+  });
+  prepareInputs();
+}
+
 void ProgramExecutor::prepareInputs() {
-  for (ArrayId In : Program.stepInputs())
-    Dom.fillHalo(array(In));
+  // Each worker fills its i-plane slice of every step input's halo.
+  const int Workers = static_cast<int>(WorkerCoords.size());
+  dispatch([&](int Worker) {
+    for (ArrayId In : Program.stepInputs())
+      Dom.fillHaloSlice(array(In), Worker, Workers);
+  });
 }
 
 void ProgramExecutor::enableProfiling(bool On) {
@@ -591,15 +619,6 @@ void ProgramExecutor::appendEpochReductions() {
 const std::vector<double> &ProgramExecutor::reductionHistory(size_t R) const {
   ICORES_CHECK(R < ReductionLog.size(), "reduction index out of range");
   return ReductionLog[R];
-}
-
-void ProgramExecutor::setThreadPinning(
-    const std::vector<ThreadPlacement> &Placements) {
-  std::vector<int> Cores;
-  Cores.reserve(Placements.size());
-  for (const ThreadPlacement &P : Placements)
-    Cores.push_back(P.GlobalCore);
-  Pool->setPinning(std::move(Cores));
 }
 
 void ProgramExecutor::threadMain(int Worker, int Island, int ThreadInTeam,
@@ -875,11 +894,9 @@ void ProgramExecutor::run(int Steps) {
   // Placement is established once, at construction; a reallocation after
   // the init epoch would silently hand the pages back to whichever thread
   // touches them next (see Array3D::placed()).
-  if (Opts.Placement != PlacementPolicy::None)
-    for (const auto &[Id, Arr] : External)
-      ICORES_CHECK(Arr.placed(),
-                   "shared array lost its NUMA placement (reallocated "
-                   "after the init epoch)");
+  for (const auto &[Id, Arr] : External)
+    ICORES_CHECK(Arr.placed(), "shared array lost its NUMA placement "
+                               "(reallocated after the init epoch)");
 
   RunControl Control(static_cast<int>(WorkerCoords.size()), Opts);
   if (Opts.Chaos)
@@ -887,7 +904,7 @@ void ProgramExecutor::run(int Steps) {
   ProfileClock::time_point Start;
   if (Profiling)
     Start = ProfileClock::now();
-  Pool->runOnAll([&](int Worker) {
+  dispatch([&](int Worker) {
     auto [Island, ThreadInTeam] = WorkerCoords[static_cast<size_t>(Worker)];
     threadMain(Worker, Island, ThreadInTeam, Steps, &Control);
   });
@@ -900,9 +917,6 @@ void ProgramExecutor::run(int Steps) {
   Stats.SharedBytesRead += SharedReadBytesPerEpoch * Epochs;
   Stats.SharedBytesWritten += SharedWriteBytesPerEpoch * Epochs;
   Stats.RemoteBytesEst += RemoteBytesPerEpoch * Epochs;
-  Stats.ThreadsSpawned = Pool->spawnedThreads();
-  Stats.PoolDispatches = Pool->dispatches();
-  Stats.PinFailures = Pool->pinFailures();
   if (Opts.Chaos) {
     FaultStats FS = Opts.Chaos->stats();
     Stats.FaultsInjected = FS.Injected;

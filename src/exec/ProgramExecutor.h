@@ -18,11 +18,12 @@
 /// class.
 ///
 /// The plan's threads live in a persistent WorkerPool: they are spawned
-/// (and optionally pinned) once, on the first run(), and reused by every
-/// later call, so bench loops time the schedule rather than thread
-/// creation. With enableProfiling(true) the executor records per-stage
-/// kernel time and per-pass barrier waits into an ExecStats (see
-/// exec/ExecStats.h); results are bit-identical either way.
+/// (and optionally pinned) once, by the constructor's placement init
+/// epoch, and reused by seeding and by every run(), so bench loops time
+/// the schedule rather than thread creation. With enableProfiling(true)
+/// the executor records per-stage kernel time and per-pass barrier waits
+/// into an ExecStats (see exec/ExecStats.h); results are bit-identical
+/// either way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +41,9 @@
 #include "stencil/FieldStore.h"
 #include "stencil/KernelTable.h"
 #include "stencil/StencilIR.h"
+#include "stencil/WorkloadRegistry.h"
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,8 +55,11 @@ class ExecObserver;
 class FaultInjector;
 struct MachineModel;
 
-/// Runtime knobs for the executor's barriers. Results are bit-identical
-/// for every setting; only latency/CPU-burn trade-offs change.
+/// Runtime knobs of the executor: barriers, layout, pinning, scheduling
+/// and observation hooks. Results are bit-identical for every setting;
+/// only latency/CPU-burn trade-offs change. Page placement is not among
+/// them: the executor places by the plan's ExecutionPlan::Placement, the
+/// policy the simulator and the placement model price.
 struct ExecutorOptions {
   TeamBarrier::WaitPolicy BarrierPolicy = TeamBarrier::WaitPolicy::Hybrid;
   int BarrierSpinLimit = TeamBarrier::DefaultSpinLimit;
@@ -72,23 +78,15 @@ struct ExecutorOptions {
   /// shadow race detector rides on this. Results are bit-identical; only
   /// timing changes.
   ExecObserver *Observer = nullptr;
-  /// NUMA page placement for every array the executor allocates. None is
-  /// the legacy behaviour: the constructing thread zero-fills serially,
-  /// so all pages land on its node. FirstTouch and Interleave allocate
-  /// untouched storage and run a placement init epoch on the worker pool
-  /// before the constructor returns: FirstTouch has each island's team
-  /// zero its arena segment (and its private buffers), Interleave spreads
-  /// pages round-robin across all workers. Results are bit-identical for
-  /// every policy; only page residency (and therefore bandwidth) changes.
-  PlacementPolicy Placement = PlacementPolicy::None;
   /// Advise transparent huge pages (madvise(MADV_HUGEPAGE)) on the arenas
   /// between allocation and first touch. Best effort; Linux only.
   bool HugePages = false;
-  /// Worker pinning applied *before* the placement init epoch, in the
-  /// (island, thread) order of computeThreadPlacement() — first touch
-  /// only places pages correctly when the touching thread already sits on
-  /// its socket. With Placement == None, setThreadPinning() before the
-  /// first run() remains equivalent.
+  /// Worker pinning, in the (island, thread) order of
+  /// computeThreadPlacement(). Applied before the constructor's placement
+  /// init epoch spawns the pool — first touch only homes pages correctly
+  /// when the touching thread already sits on its socket — and kept by
+  /// every later dispatch. Best effort on the host; failures are counted
+  /// in ExecStats::PinFailures.
   std::vector<ThreadPlacement> Pinning;
   /// Work-stealing block scheduler: within an island, passes that are
   /// bracketed by real barriers on both sides are diced into
@@ -148,8 +146,15 @@ public:
   Array3D &array(ArrayId Id);
   const Array3D &array(ArrayId Id) const;
 
-  /// Refreshes the halos of every step input (call after initialization).
+  /// Refreshes the halos of every step input (call after initialization):
+  /// every worker fills its i-plane slice of each halo.
   void prepareInputs();
+
+  /// Seeds the step inputs (see initWorkload): one pool dispatch in which
+  /// every worker calls \p Init on the core cells of its first-touch box
+  /// — the same split the placement init epoch touched the pages by —
+  /// then prepareInputs().
+  void seedInputs(const WorkloadInit &Init, uint64_t Seed);
 
   /// Turns per-stage/per-pass timing collection on or off for subsequent
   /// run() calls. Off by default; when off, run() takes no timestamps.
@@ -161,14 +166,6 @@ public:
 
   /// Zeroes the accumulated measurements (layout and pool kept).
   void resetStats() { Stats.resetMeasurements(); }
-
-  /// Requests that worker I be pinned to Placements[I].GlobalCore (the
-  /// (island, thread) order of computeThreadPlacement). Takes effect only
-  /// if called before the first run(); best effort on the host. With a
-  /// placement policy armed the pool already spun up for the init epoch —
-  /// pass ExecutorOptions::Pinning instead so the touching threads are
-  /// pinned before they touch.
-  void setThreadPinning(const std::vector<ThreadPlacement> &Placements);
 
   /// Advances \p Steps steps with the plan's threads. Afterwards each
   /// feedback Target array holds the newest state. \p Steps must be a
@@ -184,7 +181,7 @@ public:
   int64_t sharedBytesPerStep() const;
 
   /// The placement model's remote-DRAM bytes per time step for this
-  /// plan under the options' policy (core/PlacementMap.h) — the measured
+  /// plan under its placement policy (core/PlacementMap.h) — the measured
   /// side of SimResult::PlacementRemoteBytesPerStep, equal to it by
   /// construction.
   int64_t remoteBytesPerStep() const;
@@ -205,6 +202,8 @@ private:
   void rebindForStep(IslandState &IS, int StepInEpoch);
   void importEpochInputs(IslandState &IS, int Worker, int ThreadInTeam,
                          int NumThreads);
+  void dispatch(const std::function<void(int)> &Job);
+  Box3 firstTouchBox(int Worker) const;
   void runPlacementEpoch();
   double &partialAt(int Worker, int StepInEpoch, size_t R);
   void foldRows(const IslandState &IS, int Worker, int StepInEpoch,
@@ -230,12 +229,12 @@ private:
   int64_t SharedReadBytesPerEpoch = 0;
   int64_t SharedWriteBytesPerEpoch = 0;
 
-  /// Placement model state: the page-ownership map under Opts.Placement
+  /// Placement model state: the page-ownership map under Plan.Placement
   /// and the remote slice of the per-epoch shared traffic it implies,
   /// both fixed at construction.
   PlacementMap PMap;
   int64_t RemoteBytesPerEpoch = 0;
-  int64_t PagesTouched = 0; ///< Pages zeroed by the placement epoch.
+  int64_t PagesTouched = 0; ///< Bytes the placement epoch zeroed, in pages.
 
   /// Reduction machinery (empty when the program declares none).
   /// Reductions holds the row folds in ReductionDef order;

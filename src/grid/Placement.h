@@ -10,9 +10,10 @@
 /// *both* the threads and their data stay on the home socket; the policy is
 /// the data half of that contract:
 ///
-///  - None:       no explicit placement. Pages land wherever the
-///                allocating thread's serial first touch puts them (the
-///                naive baseline of Table 1, historically "SerialInit").
+///  - None:       serial placement: one thread (the executor's worker 0)
+///                first-touches every page, so all of them land on its
+///                node (the naive baseline of Table 1, historically
+///                "SerialInit").
 ///  - FirstTouch: each field's storage is partitioned along the island
 ///                partition and first-touched, page by page and in
 ///                parallel, by the owning team's pinned threads, so an
@@ -21,9 +22,9 @@
 ///                (the classic numactl --interleave contrast case): no
 ///                hot node, but every stream pays the average remote hop.
 ///
-/// The policy is threaded through ExecutionPlan (planners and simulator),
-/// ExecutorOptions (the real first-touch init epoch in ProgramExecutor)
-/// and the CLI (--place=). Placement never changes results — every policy
+/// The policy is carried by ExecutionPlan, read alike by the planners, the
+/// simulator and ProgramExecutor's placement init epoch, and set from the
+/// CLI (--place=). Placement never changes results — every policy
 /// must stay bit-exact with the reference solver — only page residency.
 ///
 //===----------------------------------------------------------------------===//

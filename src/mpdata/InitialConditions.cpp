@@ -41,22 +41,37 @@ GaussianBlob GaussianBlob::translated(double DI, double DJ, double DK) const {
 
 void icores::fillGaussian(Array3D &A, const Domain &D,
                           const GaussianBlob &Blob) {
-  Box3 Core = D.coreBox();
-  for (int I = Core.Lo[0]; I != Core.Hi[0]; ++I)
-    for (int J = Core.Lo[1]; J != Core.Hi[1]; ++J)
-      for (int K = Core.Lo[2]; K != Core.Hi[2]; ++K)
+  fillGaussian(A, D, Blob, D.coreBox());
+}
+
+void icores::fillGaussian(Array3D &A, const Domain &D,
+                          const GaussianBlob &Blob, const Box3 &Region) {
+  Box3 Cells = Region.intersect(D.coreBox());
+  for (int I = Cells.Lo[0]; I < Cells.Hi[0]; ++I)
+    for (int J = Cells.Lo[1]; J < Cells.Hi[1]; ++J)
+      for (int K = Cells.Lo[2]; K < Cells.Hi[2]; ++K)
         A.at(I, J, K) = Blob.valueAt(I, J, K, D);
+}
+
+void icores::fillRandomUniform(Array3D &A, const Domain &D, uint64_t Seed,
+                               double Lo, double Hi, const Box3 &Region) {
+  Box3 Cells = Region.intersect(D.coreBox());
+  for (int I = Cells.Lo[0]; I < Cells.Hi[0]; ++I)
+    for (int J = Cells.Lo[1]; J < Cells.Hi[1]; ++J) {
+      const uint64_t Row =
+          (static_cast<uint64_t>(I) * static_cast<uint64_t>(D.nj()) +
+           static_cast<uint64_t>(J)) *
+          static_cast<uint64_t>(D.nk());
+      for (int K = Cells.Lo[2]; K < Cells.Hi[2]; ++K)
+        A.at(I, J, K) = SplitMix64::inRange(
+            SplitMix64::at(Seed, Row + static_cast<uint64_t>(K)), Lo, Hi);
+    }
 }
 
 void icores::fillRandomPositive(Array3D &A, const Domain &D, uint64_t Seed,
                                 double Lo, double Hi) {
   ICORES_CHECK(Lo >= 0.0 && Hi > Lo, "random field bounds must be positive");
-  SplitMix64 Rng(Seed);
-  Box3 Core = D.coreBox();
-  for (int I = Core.Lo[0]; I != Core.Hi[0]; ++I)
-    for (int J = Core.Lo[1]; J != Core.Hi[1]; ++J)
-      for (int K = Core.Lo[2]; K != Core.Hi[2]; ++K)
-        A.at(I, J, K) = Rng.nextInRange(Lo, Hi);
+  fillRandomUniform(A, D, Seed, Lo, Hi, D.coreBox());
 }
 
 void icores::setConstantVelocity(Array3D &U1, Array3D &U2, Array3D &U3,

@@ -42,8 +42,20 @@ struct GaussianBlob {
 /// Fills the core region of \p A with the blob (halo untouched).
 void fillGaussian(Array3D &A, const Domain &D, const GaussianBlob &Blob);
 
-/// Fills the core region with deterministic pseudo-random values in
-/// [Lo, Hi); Lo must be >= 0 to keep MPDATA's positivity assumptions.
+/// fillGaussian() restricted to the cells of \p Region inside the core.
+void fillGaussian(Array3D &A, const Domain &D, const GaussianBlob &Blob,
+                  const Box3 &Region);
+
+/// Fills the cells of \p Region inside the core with deterministic
+/// pseudo-random values in [Lo, Hi). Cell (i, j, k) gets the n-th output
+/// of the seed's SplitMix64 stream, n its linear i,j,k index in the core,
+/// so the values are those one sequential i,j,k scan of the whole core
+/// draws, however the core is split into regions.
+void fillRandomUniform(Array3D &A, const Domain &D, uint64_t Seed, double Lo,
+                       double Hi, const Box3 &Region);
+
+/// fillRandomUniform() over the whole core; Lo must be >= 0 to keep
+/// MPDATA's positivity assumptions.
 void fillRandomPositive(Array3D &A, const Domain &D, uint64_t Seed, double Lo,
                         double Hi);
 

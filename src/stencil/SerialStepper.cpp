@@ -54,6 +54,12 @@ void SerialStepper::prepareInputs() {
     Dom.fillHalo(array(In));
 }
 
+void SerialStepper::seedInputs(const WorkloadInit &Init, uint64_t Seed) {
+  Init({Dom, Seed, Dom.coreBox(),
+        [this](ArrayId Id) -> Array3D & { return array(Id); }});
+  prepareInputs();
+}
+
 void SerialStepper::step() {
   for (const FeedbackPair &FB : Program.feedbacks())
     Dom.fillHalo(array(FB.Target));

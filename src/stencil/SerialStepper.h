@@ -23,6 +23,7 @@
 #include "stencil/HaloAnalysis.h"
 #include "stencil/KernelTable.h"
 #include "stencil/StencilIR.h"
+#include "stencil/WorkloadRegistry.h"
 
 #include <map>
 
@@ -49,6 +50,10 @@ public:
   /// Refreshes the halos of every step input. Call once after
   /// initialization; feedback targets are re-refreshed every step.
   void prepareInputs();
+
+  /// Seeds the step inputs: one \p Init call over the whole core, then
+  /// prepareInputs() (see initWorkload).
+  void seedInputs(const WorkloadInit &Init, uint64_t Seed);
 
   /// Advances \p Steps steps. Afterwards each feedback Target array holds
   /// the newest state.

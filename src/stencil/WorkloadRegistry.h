@@ -49,15 +49,27 @@ class Array3D;
 class DiagnosticEngine;
 
 /// What a workload's seeded initial-condition callback receives: the
-/// domain being initialised, the caller's seed, and an accessor for the
-/// runner's external (step input/output) arrays. The callback fills the
-/// core cells of every step input deterministically from the seed; halo
-/// refresh is the runner's job (see initWorkload below).
+/// domain being initialised, the caller's seed, the region to fill, and
+/// an accessor for the runner's external (step input/output) arrays.
+///
+/// The callback fills the cells of Region (a box inside the domain core)
+/// of every step input, and nothing else. Each value must be a pure
+/// function of (seed, cell) — never of the scan order or of the region's
+/// shape — because runners split the core into regions at will: the
+/// serial stepper passes the whole core once, the threaded executor
+/// passes every worker its own first-touch sub-box, concurrently. Random
+/// fields therefore index a counter-based stream by the cell's linear
+/// core index (SplitMix64::at). Halo refresh is the runner's job (see
+/// initWorkload below).
 struct WorkloadInitContext {
   const Domain &Dom;
   uint64_t Seed = 0;
+  Box3 Region;
   std::function<Array3D &(ArrayId)> Array;
 };
+
+/// A workload's seeded initial-condition callback.
+using WorkloadInit = std::function<void(const WorkloadInitContext &)>;
 
 /// One registered workload: the data that makes a stencil program a
 /// first-class citizen of every planner, runtime, analysis and test in
@@ -78,9 +90,10 @@ struct WorkloadSpec {
   /// Kernel table factory, valid for every variant in Variants. Tables
   /// must satisfy the bit-identical cross-variant contract.
   std::function<KernelTable(KernelVariant)> Kernels;
-  /// Seeded initial conditions (fills step-input cores; deterministic in
-  /// the seed so every runner pair initialised alike compares bit-exact).
-  std::function<void(const WorkloadInitContext &)> Init;
+  /// Seeded initial conditions (fills the given region of every step
+  /// input; deterministic in the seed and the cell so every runner pair
+  /// initialised alike compares bit-exact, however each splits the core).
+  WorkloadInit Init;
   /// Row folds for the program's declared reductions, keyed by name.
   std::vector<ReductionBinding> Reductions;
 };
@@ -114,18 +127,14 @@ private:
 Domain workloadDomain(const WorkloadSpec &Spec, int NI, int NJ, int NK,
                       BoundaryMode Boundary = BoundaryMode::Periodic);
 
-/// Seeds \p Runner (SerialStepper, ProgramExecutor, or anything exposing
-/// domain()/array()/prepareInputs()) with the workload's initial
-/// conditions and refreshes the input halos. Two runners initialised with
-/// the same seed start bit-identical.
+/// Seeds \p Runner (SerialStepper or ProgramExecutor: anything exposing
+/// seedInputs()) with the workload's initial conditions and refreshes the
+/// input halos. Each runner chooses the regions its Init calls fill; two
+/// runners seeded with the same seed start bit-identical.
 template <typename Runner>
 void initWorkload(const WorkloadSpec &Spec, Runner &R, uint64_t Seed = 0) {
   ICORES_CHECK(Spec.Init, "workload has no registered init");
-  WorkloadInitContext Ctx{
-      R.domain(), Seed,
-      [&R](ArrayId Id) -> decltype(R.array(Id)) { return R.array(Id); }};
-  Spec.Init(Ctx);
-  R.prepareInputs();
+  R.seedInputs(Spec.Init, Seed);
 }
 
 } // namespace icores

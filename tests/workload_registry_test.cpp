@@ -64,7 +64,7 @@ WorkloadSpec makeTinySpec(const std::string &Name = "tiny") {
   };
   ArrayId In = A.In;
   Spec.Init = [In](const WorkloadInitContext &Ctx) {
-    Ctx.Array(In).fill(1.0);
+    Ctx.Array(In).fillRegion(Ctx.Region, 1.0);
   };
   return Spec;
 }

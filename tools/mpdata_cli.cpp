@@ -3,7 +3,7 @@
 // A single binary exposing the library's main entry points to the shell:
 //
 //   mpdata_cli simulate  --strategy=islands --sockets=14 --machine=uv2000
-//                        [--ni --nj --nk --steps --variant --placement]
+//                        [--ni --nj --nk --steps --variant --place]
 //   mpdata_cli execute   --strategy=islands --islands=2
 //                        [--ni --nj --nk --steps --kernels=opt]
 //                        [--profile=stats.json --pin]
@@ -86,14 +86,14 @@ void printUsage() {
       "                              block scheduler (per-island chunk\n"
       "                              deques; stealing never crosses an\n"
       "                              island). Results stay bit-exact\n"
-      "  --placement=firsttouch|serial (default firsttouch)\n"
       "  --place=none|firsttouch|interleave\n"
-      "                              NUMA page placement; supersedes\n"
-      "                              --placement. simulate/traffic/plan\n"
-      "                              model it; execute mode arms the\n"
-      "                              executor's placement init epoch (with\n"
-      "                              worker pinning) so the shared arenas\n"
-      "                              are first-touched per island\n"
+      "                              NUMA page placement (default\n"
+      "                              firsttouch). simulate/traffic/plan\n"
+      "                              model it; execute mode's placement\n"
+      "                              init epoch touches the pages the same\n"
+      "                              way (combine with --pin so each\n"
+      "                              island's arena is touched on its\n"
+      "                              socket)\n"
       "  --kernels=ref|opt|simd      kernel variant: execute mode runs\n"
       "                              it, simulate mode scales the model's\n"
       "                              compute term (default: execute ref,\n"
@@ -112,7 +112,8 @@ void printUsage() {
       "                              write the ExecStats JSON to FILE\n"
       "                              (see README.md for the schema)\n"
       "  --pin                       execute mode: pin worker threads to\n"
-      "                              cores (best effort)\n"
+      "                              cores before they first touch their\n"
+      "                              pages (best effort)\n"
       "  --no-elide                  execute mode: keep every team barrier\n"
       "                              (skip the schedule optimizer)\n"
       "  --barrier=spin|hybrid|block execute mode: team-barrier wait\n"
@@ -170,7 +171,7 @@ int main(int Argc, char **Argv) {
 
   CommandLine CL;
   for (const char *Opt : {"machine", "strategy", "sockets", "islands",
-                          "variant", "placement", "place", "balance",
+                          "variant", "place", "balance",
                           "steal", "kernels", "ni", "nj", "nk", "steps",
                           "temporal", "profile", "pin", "json", "no-audit",
                           "no-elide", "barrier", "chaos", "out", "workload",
@@ -248,22 +249,15 @@ int main(int Argc, char **Argv) {
   Config.Variant = CL.getString("variant", "A") == "B"
                        ? PartitionVariant::B
                        : PartitionVariant::A;
-  Config.Placement = CL.getString("placement", "firsttouch") == "serial"
-                         ? PagePlacement::None
-                         : PagePlacement::FirstTouch;
-  // --place supersedes the legacy --placement spelling and additionally
-  // arms the executor's placement init epoch in execute mode.
+  // The plan carries the placement policy; the executor follows it.
   const bool HavePlace = CL.hasOption("place");
-  PlacementPolicy Place = PlacementPolicy::FirstTouch;
-  if (HavePlace) {
-    if (!parsePlacementPolicy(CL.getString("place", "firsttouch"), Place)) {
-      std::fprintf(stderr,
-                   "error: unknown placement '%s' (expected none, "
-                   "firsttouch or interleave)\n",
-                   CL.getString("place", "").c_str());
-      return 1;
-    }
-    Config.Placement = Place;
+  if (!parsePlacementPolicy(CL.getString("place", "firsttouch"),
+                            Config.Placement)) {
+    std::fprintf(stderr,
+                 "error: unknown placement '%s' (expected none, "
+                 "firsttouch or interleave)\n",
+                 CL.getString("place", "").c_str());
+    return 1;
   }
   std::string BalanceName = CL.getString("balance", "uniform");
   if (BalanceName == "cost") {
@@ -463,6 +457,8 @@ int main(int Argc, char **Argv) {
       std::printf("chaos: %s\n", faultPlanSummary(ChaosPlan).c_str());
     }
     ExecutionPlan Plan = buildPlan(Prog, Grid, Host, Config);
+    if (CL.hasOption("pin"))
+      ExecOpts.Pinning = computeThreadPlacement(Plan, Host);
     if (!CL.hasOption("no-elide")) {
       ScheduleOptimizerReport Report = optimizeBarriers(Prog, Plan);
       std::printf("barrier elision: %lld of %lld team barriers removed "
@@ -492,16 +488,9 @@ int main(int Argc, char **Argv) {
       }
       uint64_t Seed = static_cast<uint64_t>(CL.getInt("seed", 7));
       Domain Dom = workloadDomain(*Workload, NI, NJ, NK);
-      if (HavePlace) {
-        ExecOpts.Placement = Place;
-        if (Place != PlacementPolicy::None)
-          ExecOpts.Pinning = computeThreadPlacement(Plan, Host);
-      }
       ExecOpts.Reductions = Workload->Reductions;
       ProgramExecutor Exec(Prog, Workload->Kernels(Kernels), Dom,
                            std::move(Plan), ExecOpts);
-      if (CL.hasOption("pin"))
-        Exec.setThreadPinning(computeThreadPlacement(Exec.plan(), Host));
       std::string ProfilePath = CL.getString("profile", "");
       if (!ProfilePath.empty())
         Exec.enableProfiling(true);
@@ -571,18 +560,7 @@ int main(int Argc, char **Argv) {
     }
 
     Domain Dom(NI, NJ, NK, mpdataHaloDepth());
-    if (HavePlace) {
-      // Arm the placement init epoch: workers must already be pinned when
-      // they first-touch their arena segments, so the pinning goes in
-      // through ExecutorOptions rather than setThreadPinning() (which
-      // would only take effect after construction, too late for paging).
-      ExecOpts.Placement = Place;
-      if (Place != PlacementPolicy::None)
-        ExecOpts.Pinning = computeThreadPlacement(Plan, Host);
-    }
     PlanExecutor Exec(Dom, std::move(Plan), Kernels, ExecOpts);
-    if (CL.hasOption("pin"))
-      Exec.setThreadPinning(computeThreadPlacement(Exec.plan(), Host));
     std::string ProfilePath = CL.getString("profile", "");
     if (!ProfilePath.empty())
       Exec.enableProfiling(true);
