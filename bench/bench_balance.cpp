@@ -44,11 +44,11 @@
 
 #include "BenchUtil.h"
 
+#include "apps/Workloads.h"
 #include "core/BalanceModel.h"
 #include "core/PlanVerifier.h"
-#include "exec/PlanExecutor.h"
-#include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "exec/ProgramExecutor.h"
+#include "mpdata/Kernels.h"
 #include "support/Format.h"
 #include "support/OStream.h"
 #include "support/Table.h"
@@ -104,18 +104,16 @@ RunResult runOnce(const MpdataProgram &M, BalancePolicy Balance, bool Steal,
   ExecutorOptions Opts;
   Opts.Stealing = Steal;
   Opts.Machine = &Host;
-  PlanExecutor Exec(Dom, std::move(Plan), KernelVariant::Reference, Opts);
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan), Opts);
   Exec.enableProfiling(true);
-  fillRandomPositive(Exec.stateIn(), Dom, 42, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Dom, 0.25, -0.2, 0.15);
-  Exec.prepareCoefficients();
+  initWorkload(*builtinWorkloads().find("mpdata"), Exec, 42);
   auto Begin = std::chrono::steady_clock::now();
   Exec.run(Steps);
   auto End = std::chrono::steady_clock::now();
 
   RunResult R;
-  R.State = Exec.state();
+  R.State = Exec.array(M.XIn);
   R.Seconds = std::chrono::duration<double>(End - Begin).count();
   // Extra repetitions keep evolving the state (still deterministic) while
   // the profile accumulates, so the skew is measured over Reps * Steps

@@ -14,7 +14,9 @@
 
 #include "dist/DistributedSolver.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "mpdata/MpdataProgram.h"
+#include "stencil/SerialStepper.h"
 #include "stencil/GraphExport.h"
 #include "support/CommandLine.h"
 #include "support/OStream.h"
@@ -79,20 +81,23 @@ int main(int Argc, char **Argv) {
       runDistributedMpdata(Ranks, NI, NJ, NK, Steps, Init);
 
   // Serial reference for comparison.
-  ReferenceSolver Solver(NI, NJ, NK);
+  MpdataProgram M = buildMpdataProgram();
+  SerialStepper Solver(M.Program, buildMpdataKernels(),
+                       Domain(NI, NJ, NK, mpdataHaloDepth()));
   for (int I = 0; I != NI; ++I)
     for (int J = 0; J != NJ; ++J)
       for (int K = 0; K != NK; ++K) {
-        Solver.stateIn().at(I, J, K) = Init.State(I, J, K);
-        Solver.velocity(0).at(I, J, K) = Init.U1(I, J, K);
-        Solver.velocity(1).at(I, J, K) = Init.U2(I, J, K);
-        Solver.velocity(2).at(I, J, K) = Init.U3(I, J, K);
+        Solver.array(M.XIn).at(I, J, K) = Init.State(I, J, K);
+        Solver.array(M.U1).at(I, J, K) = Init.U1(I, J, K);
+        Solver.array(M.U2).at(I, J, K) = Init.U2(I, J, K);
+        Solver.array(M.U3).at(I, J, K) = Init.U3(I, J, K);
+        Solver.array(M.H).at(I, J, K) = Init.H(I, J, K);
       }
-  Solver.prepareCoefficients();
+  Solver.prepareInputs();
   Solver.run(Steps);
 
-  double MaxDiff =
-      Distributed.maxAbsDiff(Solver.state(), Box3::fromExtents(NI, NJ, NK));
+  double MaxDiff = Distributed.maxAbsDiff(Solver.array(M.XIn),
+                                          Box3::fromExtents(NI, NJ, NK));
   std::printf("max |distributed - serial reference| = %.3e %s\n", MaxDiff,
               MaxDiff == 0.0 ? "(bit-exact)" : "");
   std::printf("per step, each rank sent 2 halo messages of %d planes and "

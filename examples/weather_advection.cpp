@@ -11,10 +11,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/PlanBuilder.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "mpdata/MpdataProgram.h"
 #include "support/CommandLine.h"
 
 #include <algorithm>
@@ -71,7 +72,8 @@ int main(int Argc, char **Argv) {
   Config.Strat = Strategy::IslandsOfCores;
   Config.Sockets = Islands;
   ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-  PlanExecutor Exec(Dom, std::move(Plan));
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom, std::move(Plan));
+  Array3D &Moisture = Exec.array(M.XIn); // Holds the newest state.
 
   // Moisture plume off-centre; cyclone centred mid-domain. Omega is kept
   // small enough that the largest Courant number stays stable.
@@ -81,13 +83,14 @@ int main(int Argc, char **Argv) {
   Plume.Sigma = N / 12.0;
   Plume.CenterK = 4.0;
   Plume.Background = 0.02; // Ambient humidity.
-  fillGaussian(Exec.stateIn(), Dom, Plume);
+  fillGaussian(Moisture, Dom, Plume);
   double Omega = 0.8 / N; // Max Courant ~0.4 at the domain edge.
-  setRotationalVelocity(Exec.velocity(0), Exec.velocity(1),
-                        Exec.velocity(2), Dom, Omega, N / 2.0, N / 2.0);
-  Exec.prepareCoefficients();
+  setRotationalVelocity(Exec.array(M.U1), Exec.array(M.U2),
+                        Exec.array(M.U3), Dom, Omega, N / 2.0, N / 2.0);
+  Exec.array(M.H).fill(1.0);
+  Exec.prepareInputs();
 
-  double Mass0 = Exec.conservedMass();
+  double Mass0 = mpdataMass(Dom, Exec.array(M.H), Moisture);
   int Quarter = Steps / 4;
   for (int Leg = 0; Leg != 4; ++Leg) {
     Exec.run(Quarter);
@@ -96,11 +99,12 @@ int main(int Argc, char **Argv) {
     for (int I = Core.Lo[0]; I != Core.Hi[0]; ++I)
       for (int J = Core.Lo[1]; J != Core.Hi[1]; ++J)
         for (int K = Core.Lo[2]; K != Core.Hi[2]; ++K)
-          Peak = std::max(Peak, Exec.state().at(I, J, K));
+          Peak = std::max(Peak, Moisture.at(I, J, K));
     std::printf("after %3d steps: mass drift %+.2e, plume peak %.3f\n",
                 (Leg + 1) * Quarter,
-                (Exec.conservedMass() - Mass0) / Mass0, Peak);
-    renderSlice(Exec.state(), Dom);
+                (mpdataMass(Dom, Exec.array(M.H), Moisture) - Mass0) / Mass0,
+                Peak);
+    renderSlice(Moisture, Dom);
     std::printf("\n");
   }
   std::printf("mass conserved to round-off; the plume rotates with the "

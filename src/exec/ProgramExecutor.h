@@ -13,9 +13,8 @@
 /// core/ScheduleOptimizer.h, clears redundant bits); the program's
 /// feedback pairs advance the state between steps. Both the per-pass team
 /// rendezvous and the step-boundary global rendezvous use the hybrid
-/// combining-tree TeamBarrier, tunable through ExecutorOptions.
-/// PlanExecutor (the MPDATA-flavoured API) is a thin wrapper over this
-/// class.
+/// combining-tree TeamBarrier, tunable through ExecutorOptions. Every
+/// registered workload, MPDATA included, runs through this class.
 ///
 /// The plan's threads live in a persistent WorkerPool: they are spawned
 /// (and optionally pinned) once, by the constructor's placement init

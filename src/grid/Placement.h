@@ -25,7 +25,7 @@
 /// The policy is carried by ExecutionPlan, read alike by the planners, the
 /// simulator and ProgramExecutor's placement init epoch, and set from the
 /// CLI (--place=). Placement never changes results — every policy
-/// must stay bit-exact with the reference solver — only page residency.
+/// must stay bit-exact with the serial stepper — only page residency.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,6 +2,9 @@
 
 #include "mpdata/MpdataProgram.h"
 
+#include "grid/Array3D.h"
+#include "grid/Domain.h"
+#include "stencil/HaloAnalysis.h"
 #include "support/Error.h"
 
 #include <string>
@@ -190,4 +193,26 @@ MpdataProgram icores::buildMpdataProgram() {
   ICORES_CHECK(P.validate(Error), "MPDATA program failed validation");
   ICORES_CHECK(P.numStages() == 17, "MPDATA must have exactly 17 stages");
   return M;
+}
+
+int icores::mpdataHaloDepth() {
+  MpdataProgram M = buildMpdataProgram();
+  // Use a target comfortably larger than the cone so the probe does not
+  // clip; the depth is size-independent.
+  std::array<int, 3> Depth =
+      inputHaloDepth(M.Program, Box3::fromExtents(64, 64, 64));
+  ICORES_CHECK(Depth[0] == Depth[1] && Depth[1] == Depth[2],
+               "MPDATA halo depth expected to be isotropic");
+  return Depth[0];
+}
+
+double icores::mpdataMass(const Domain &Dom, const Array3D &H,
+                          const Array3D &Psi) {
+  Box3 Core = Dom.coreBox();
+  double Mass = 0.0;
+  for (int I = Core.Lo[0]; I != Core.Hi[0]; ++I)
+    for (int J = Core.Lo[1]; J != Core.Hi[1]; ++J)
+      for (int K = Core.Lo[2]; K != Core.Hi[2]; ++K)
+        Mass += H.at(I, J, K) * Psi.at(I, J, K);
+  return Mass;
 }

@@ -31,6 +31,9 @@
 
 namespace icores {
 
+class Array3D;
+class Domain;
+
 /// Small positive constant guarding MPDATA denominators.
 inline constexpr double MpdataEps = 1e-15;
 
@@ -69,6 +72,14 @@ struct MpdataProgram {
 
 /// Builds and validates the 17-stage program.
 MpdataProgram buildMpdataProgram();
+
+/// The halo depth the program's dependence cone requires of the step
+/// inputs (identical in every dimension).
+int mpdataHaloDepth();
+
+/// Deterministic serial sum of h * psi over the core of \p Dom: the
+/// quantity MPDATA conserves under periodic boundaries.
+double mpdataMass(const Domain &Dom, const Array3D &H, const Array3D &Psi);
 
 } // namespace icores
 

@@ -18,7 +18,10 @@
 //  - TestRng / randomTarget: the property tests' inclusive-range integer
 //    PRNG and random-domain generator,
 //  - fillStorePairRandom: paired (unpadded, vector-padded) field stores
-//    filled from one random stream for kernel-equivalence tests.
+//    filled from one random stream for kernel-equivalence tests,
+//  - setMpdataCoefficients / firstOrderUpwind: hand-seeded MPDATA runs
+//    for tests that need a particular field rather than the registered
+//    init, and the first-order scheme the corrector is judged against.
 //
 // Header-only and test-only; nothing in src/ includes this.
 //
@@ -31,7 +34,11 @@
 #include "core/ScheduleOptimizer.h"
 #include "exec/ProgramExecutor.h"
 #include "machine/MachineModel.h"
+#include "mpdata/InitialConditions.h"
+#include "mpdata/Kernels.h"
+#include "mpdata/MpdataProgram.h"
 #include "stencil/FieldStore.h"
+#include "stencil/HaloAnalysis.h"
 #include "stencil/SerialStepper.h"
 #include "stencil/WorkloadRegistry.h"
 #include "support/Random.h"
@@ -219,6 +226,44 @@ void fillStorePairRandom(const StencilProgram &Program, const Box3 &Alloc,
           ArrB.at(I, J, K) = V;
         }
   }
+}
+
+/// Constant Courant numbers (C1, C2, C3) and unit density on an MPDATA
+/// runner (SerialStepper or ProgramExecutor), then prepareInputs(): the
+/// hand-seeded counterpart of the registered init. Write psi (M.XIn)
+/// first. Both runners allocate every array zeroed, so the density must
+/// be written.
+template <typename Runner>
+void setMpdataCoefficients(Runner &R, const MpdataProgram &M, double C1,
+                           double C2, double C3) {
+  setConstantVelocity(R.array(M.U1), R.array(M.U2), R.array(M.U3),
+                      R.domain(), C1, C2, C3);
+  R.array(M.H).fill(1.0);
+  R.prepareInputs();
+}
+
+/// Psi after \p Steps steps of MPDATA cut after its first-order upwind
+/// stage, started from the step inputs of \p Seeded (seeded, not run):
+/// each step evaluates stages S1..SUpwind over their dependence-cone
+/// regions and psi* becomes the new state.
+inline Array3D firstOrderUpwind(const MpdataProgram &M,
+                                const SerialStepper &Seeded, int Steps) {
+  const Domain &Dom = Seeded.domain();
+  RegionRequirements Req = computeRequirements(M.Program, Dom.coreBox());
+  KernelTable Kernels = buildMpdataKernels();
+  FieldStore Fields(M.Program.numArrays());
+  for (unsigned A = 0; A != M.Program.numArrays(); ++A)
+    Fields.allocateOwned(static_cast<ArrayId>(A), Dom.allocBox());
+  for (ArrayId In : M.Program.stepInputs())
+    Fields.get(In).copyRegionFrom(Seeded.array(In), Dom.allocBox());
+  Array3D &Psi = Fields.get(M.XIn);
+  for (int Step = 0; Step != Steps; ++Step) {
+    Dom.fillHalo(Psi);
+    for (unsigned S = 0; S <= static_cast<unsigned>(M.SUpwind); ++S)
+      Kernels.run(Fields, static_cast<StageId>(S), Req.StageRegion[S]);
+    Psi.copyRegionFrom(Fields.get(M.Actual), Dom.coreBox());
+  }
+  return Psi;
 }
 
 } // namespace icores

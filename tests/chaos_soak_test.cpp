@@ -15,14 +15,18 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestMatrix.h"
+
 #include "core/PlanBuilder.h"
 #include "dist/DistributedSolver.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "fault/FaultInjector.h"
 #include "fault/Watchdog.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "mpdata/MpdataProgram.h"
+#include "stencil/SerialStepper.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -46,15 +50,14 @@ double soakBudgetSeconds() {
 constexpr int GridNI = 16, GridNJ = 12, GridNK = 6, TimeSteps = 2;
 
 Array3D referenceResult() {
-  ReferenceSolver Solver(GridNI, GridNJ, GridNK);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 555, 0.1, 2.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, -0.25,
-                      0.2);
-  Solver.prepareCoefficients();
+  MpdataProgram M = buildMpdataProgram();
+  SerialStepper Solver(M.Program, buildMpdataKernels(),
+                       Domain(GridNI, GridNJ, GridNK, mpdataHaloDepth()));
+  fillRandomPositive(Solver.array(M.XIn), Solver.domain(), 555, 0.1, 2.0);
+  setMpdataCoefficients(Solver, M, 0.3, -0.25, 0.2);
   Solver.run(TimeSteps);
   Array3D Result(Solver.domain().allocBox());
-  Result.copyRegionFrom(Solver.state(), Solver.domain().coreBox());
+  Result.copyRegionFrom(Solver.array(M.XIn), Solver.domain().coreBox());
   return Result;
 }
 
@@ -74,14 +77,13 @@ Array3D chaoticExecutorRun(Strategy Strat, KernelVariant Kernels,
   Opts.BarrierPolicy = Policy;
   Opts.BarrierSpinLimit = 64; // Exercise the sleep path, not just spins.
   Opts.Chaos = &Injector;
-  PlanExecutor Exec(Dom, std::move(Plan), Kernels, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 555, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1),
-                      Exec.velocity(2), Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(Kernels), Dom,
+                       std::move(Plan), Opts);
+  fillRandomPositive(Exec.array(M.XIn), Exec.domain(), 555, 0.1, 2.0);
+  setMpdataCoefficients(Exec, M, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
   Array3D Result(Exec.domain().allocBox());
-  Result.copyRegionFrom(Exec.state(), Exec.domain().coreBox());
+  Result.copyRegionFrom(Exec.array(M.XIn), Exec.domain().coreBox());
   return Result;
 }
 

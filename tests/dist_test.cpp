@@ -6,7 +6,9 @@
 #include "fault/FaultInjector.h"
 #include "fault/Watchdog.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "mpdata/MpdataProgram.h"
+#include "stencil/SerialStepper.h"
 #include "support/Error.h"
 #include "support/Random.h"
 
@@ -115,21 +117,24 @@ struct DistWorkload {
   }
 
   Array3D reference() const {
-    ReferenceSolver Solver(NI, NJ, NK);
+    MpdataProgram M = buildMpdataProgram();
+    Domain Dom(NI, NJ, NK, mpdataHaloDepth());
+    SerialStepper Solver(M.Program, buildMpdataKernels(), Dom);
     DistributedInit Init = init();
-    Box3 Core = Solver.domain().coreBox();
+    Box3 Core = Dom.coreBox();
     for (int I = 0; I != NI; ++I)
       for (int J = 0; J != NJ; ++J)
         for (int K = 0; K != NK; ++K) {
-          Solver.stateIn().at(I, J, K) = Init.State(I, J, K);
-          Solver.velocity(0).at(I, J, K) = Init.U1(I, J, K);
-          Solver.velocity(1).at(I, J, K) = Init.U2(I, J, K);
-          Solver.velocity(2).at(I, J, K) = Init.U3(I, J, K);
+          Solver.array(M.XIn).at(I, J, K) = Init.State(I, J, K);
+          Solver.array(M.U1).at(I, J, K) = Init.U1(I, J, K);
+          Solver.array(M.U2).at(I, J, K) = Init.U2(I, J, K);
+          Solver.array(M.U3).at(I, J, K) = Init.U3(I, J, K);
+          Solver.array(M.H).at(I, J, K) = Init.H(I, J, K);
         }
-    Solver.prepareCoefficients();
+    Solver.prepareInputs();
     Solver.run(Steps);
     Array3D Result(Core);
-    Result.copyRegionFrom(Solver.state(), Core);
+    Result.copyRegionFrom(Solver.array(M.XIn), Core);
     return Result;
   }
 };

@@ -1,19 +1,23 @@
 //===- tests/executor_test.cpp - Strategy equivalence tests ---------------===//
 //
 // The load-bearing validation of the islands-of-cores transformation: every
-// strategy, partitioning and team size must reproduce the serial reference
-// solver bit-for-bit (the kernels are pointwise with fixed evaluation
+// strategy, partitioning and team size must reproduce the serial stepper
+// bit-for-bit (the kernels are pointwise with fixed evaluation
 // order, so redundant recomputation is exactly equivalent to halo
 // exchange).
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestMatrix.h"
+
 #include "core/PlanBuilder.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "exec/RegionSplit.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "mpdata/MpdataProgram.h"
+#include "stencil/SerialStepper.h"
 
 #include <gtest/gtest.h>
 
@@ -26,17 +30,15 @@ constexpr int GridNJ = 14;
 constexpr int GridNK = 8;
 constexpr int TimeSteps = 3;
 
-/// Runs the reference solver on the shared workload.
+/// Runs the serial oracle on the shared workload.
 Array3D referenceResult() {
-  ReferenceSolver Solver(GridNI, GridNJ, GridNK);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 1234, 0.1, 2.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, -0.25, 0.2);
-  Solver.prepareCoefficients();
+  MpdataProgram M = buildMpdataProgram();
+  Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
+  SerialStepper Solver(M.Program, buildMpdataKernels(), Dom);
+  fillRandomPositive(Solver.array(M.XIn), Dom, 1234, 0.1, 2.0);
+  setMpdataCoefficients(Solver, M, 0.3, -0.25, 0.2);
   Solver.run(TimeSteps);
-  Array3D Result(Solver.domain().allocBox());
-  Result.copyRegionFrom(Solver.state(), Solver.domain().coreBox());
-  return Result;
+  return copyNewestState(M.Program, Solver, Dom);
 }
 
 /// Runs an executor with the same workload under \p Config.
@@ -45,15 +47,12 @@ Array3D executorResult(const PlanConfig &Config, const MachineModel &Machine,
   MpdataProgram M = buildMpdataProgram();
   Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
   ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-  PlanExecutor Exec(Dom, std::move(Plan), Kernels);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 1234, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(Kernels), Dom,
+                       std::move(Plan));
+  fillRandomPositive(Exec.array(M.XIn), Dom, 1234, 0.1, 2.0);
+  setMpdataCoefficients(Exec, M, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
-  Array3D Result(Exec.domain().allocBox());
-  Result.copyRegionFrom(Exec.state(), Exec.domain().coreBox());
-  return Result;
+  return copyNewestState(M.Program, Exec, Dom);
 }
 
 Box3 coreBox() { return Box3::fromExtents(GridNI, GridNJ, GridNK); }
@@ -150,14 +149,13 @@ TEST(ExecutorTest, ConservesMass) {
   Config.Strat = Strategy::IslandsOfCores;
   Config.Sockets = 2;
   ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-  PlanExecutor Exec(Dom, std::move(Plan));
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.2, 1.5);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.2, 0.15, -0.1);
-  Exec.prepareCoefficients();
-  double Before = Exec.conservedMass();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom, std::move(Plan));
+  fillRandomPositive(Exec.array(M.XIn), Dom, 77, 0.2, 1.5);
+  setMpdataCoefficients(Exec, M, 0.2, 0.15, -0.1);
+  double Before = mpdataMass(Dom, Exec.array(M.H), Exec.array(M.XIn));
   Exec.run(5);
-  EXPECT_NEAR(Exec.conservedMass(), Before, 1e-10 * Before);
+  EXPECT_NEAR(mpdataMass(Dom, Exec.array(M.H), Exec.array(M.XIn)), Before,
+              1e-10 * Before);
 }
 
 TEST(ExecutorTest, SequentialRunsCompose) {
@@ -172,11 +170,10 @@ TEST(ExecutorTest, SequentialRunsCompose) {
   auto makeExec = [&]() {
     ExecutionPlan Plan =
         buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-    auto Exec = std::make_unique<PlanExecutor>(Dom, std::move(Plan));
-    fillRandomPositive(Exec->stateIn(), Exec->domain(), 55, 0.2, 1.5);
-    setConstantVelocity(Exec->velocity(0), Exec->velocity(1),
-                        Exec->velocity(2), Exec->domain(), 0.25, 0.1, 0.05);
-    Exec->prepareCoefficients();
+    auto Exec = std::make_unique<ProgramExecutor>(
+        M.Program, buildMpdataKernels(), Dom, std::move(Plan));
+    fillRandomPositive(Exec->array(M.XIn), Dom, 55, 0.2, 1.5);
+    setMpdataCoefficients(*Exec, M, 0.25, 0.1, 0.05);
     return Exec;
   };
 
@@ -185,7 +182,9 @@ TEST(ExecutorTest, SequentialRunsCompose) {
   Split->run(3);
   auto Whole = makeExec();
   Whole->run(5);
-  EXPECT_EQ(Split->state().maxAbsDiff(Whole->state(), Dom.coreBox()), 0.0);
+  EXPECT_EQ(Split->array(M.XIn).maxAbsDiff(Whole->array(M.XIn),
+                                           Dom.coreBox()),
+            0.0);
 }
 
 TEST(ExecutorTest, ZeroStepsIsANoOp) {
@@ -196,12 +195,12 @@ TEST(ExecutorTest, ZeroStepsIsANoOp) {
   Config.Strat = Strategy::Original;
   Config.Sockets = 1;
   ExecutionPlan Plan = buildPlan(M.Program, Dom.coreBox(), Machine, Config);
-  PlanExecutor Exec(Dom, std::move(Plan));
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 9, 0.2, 1.5);
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom, std::move(Plan));
+  fillRandomPositive(Exec.array(M.XIn), Dom, 9, 0.2, 1.5);
   Array3D Before(Dom.allocBox());
-  Before.copyRegionFrom(Exec.stateIn(), Dom.coreBox());
+  Before.copyRegionFrom(Exec.array(M.XIn), Dom.coreBox());
   Exec.run(0);
-  EXPECT_EQ(Exec.state().maxAbsDiff(Before, Dom.coreBox()), 0.0);
+  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Before, Dom.coreBox()), 0.0);
 }
 
 TEST(RegionSplitTest, CoversRegionDisjointly) {

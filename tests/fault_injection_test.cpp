@@ -9,14 +9,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestMatrix.h"
+
 #include "core/PlanBuilder.h"
 #include "dist/DistributedSolver.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "fault/FaultInjector.h"
 #include "fault/Watchdog.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "mpdata/MpdataProgram.h"
 #include "support/Error.h"
 #include "support/Random.h"
 
@@ -343,14 +346,13 @@ Array3D executorChaosRun(FaultInjector *Chaos,
   Opts.BarrierPolicy = Policy;
   Opts.BarrierSpinLimit = 64; // Reach the sleep path quickly.
   Opts.Chaos = Chaos;
-  PlanExecutor Exec(Dom, std::move(Plan), KernelVariant::Reference, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1),
-                      Exec.velocity(2), Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan), Opts);
+  fillRandomPositive(Exec.array(M.XIn), Exec.domain(), 77, 0.1, 2.0);
+  setMpdataCoefficients(Exec, M, 0.3, -0.25, 0.2);
   Exec.run(3);
   Array3D Result(Exec.domain().allocBox());
-  Result.copyRegionFrom(Exec.state(), Exec.domain().coreBox());
+  Result.copyRegionFrom(Exec.array(M.XIn), Exec.domain().coreBox());
   return Result;
 }
 
@@ -414,11 +416,10 @@ TEST(FaultInjectionTest, ExecutorMirrorsFaultCountersIntoStatsV5) {
       buildPlan(M.Program, Dom.coreBox(), Machine, Config);
   ExecutorOptions Opts;
   Opts.Chaos = &Injector;
-  PlanExecutor Exec(Dom, std::move(Plan2), KernelVariant::Reference, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1),
-                      Exec.velocity(2), Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan2), Opts);
+  fillRandomPositive(Exec.array(M.XIn), Exec.domain(), 77, 0.1, 2.0);
+  setMpdataCoefficients(Exec, M, 0.3, -0.25, 0.2);
   Exec.run(2);
 
   const ExecStats &Stats = Exec.stats();

@@ -1,8 +1,8 @@
 //===- tests/generic_runtime_test.cpp - Generic runtime layer tests -------===//
 //
 // Direct tests of the application-agnostic layer: KernelTable,
-// SerialStepper and ProgramExecutor — including running MPDATA through
-// the generic path and checking it against the dedicated ReferenceSolver.
+// SerialStepper and ProgramExecutor — including running MPDATA on the
+// threaded executor and checking it against the serial stepper.
 //
 //===----------------------------------------------------------------------===//
 
@@ -11,7 +11,7 @@
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
 #include "mpdata/Kernels.h"
-#include "mpdata/Solver.h"
+#include "mpdata/MpdataProgram.h"
 #include "stencil/FieldStore.h"
 #include "stencil/SerialStepper.h"
 
@@ -63,34 +63,7 @@ void initMpdata(Runner &R, const MpdataProgram &M, const Domain &Dom) {
   R.prepareInputs();
 }
 
-Array3D mpdataOracle(const Domain &Dom, int Steps) {
-  ReferenceSolver Solver(Dom.ni(), Dom.nj(), Dom.nk());
-  GaussianBlob Blob;
-  Blob.CenterI = Dom.ni() / 3.0;
-  Blob.CenterJ = Dom.nj() / 2.0;
-  Blob.CenterK = Dom.nk() / 2.0;
-  Blob.Sigma = 2.5;
-  fillGaussian(Solver.stateIn(), Solver.domain(), Blob);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.25, -0.2, 0.1);
-  Solver.prepareCoefficients();
-  Solver.run(Steps);
-  Array3D Out(Dom.allocBox());
-  Out.copyRegionFrom(Solver.state(), Dom.coreBox());
-  return Out;
-}
-
 } // namespace
-
-TEST(SerialStepperTest, MpdataThroughGenericPathMatchesReferenceSolver) {
-  MpdataProgram M = buildMpdataProgram();
-  Domain Dom(18, 12, 8, mpdataHaloDepth());
-  SerialStepper Stepper(M.Program, buildMpdataKernels(), Dom);
-  initMpdata(Stepper, M, Dom);
-  Stepper.run(4);
-  Array3D Oracle = mpdataOracle(Dom, 4);
-  EXPECT_EQ(Stepper.array(M.XIn).maxAbsDiff(Oracle, Dom.coreBox()), 0.0);
-}
 
 TEST(SerialStepperTest, RejectsShallowHalo) {
   MpdataProgram M = buildMpdataProgram();
@@ -114,7 +87,7 @@ TEST(SerialStepperTest, IntermediatesAreNotExposed) {
   EXPECT_DEATH(Stepper.array(M.Actual), "not a step input or output");
 }
 
-TEST(ProgramExecutorTest, MpdataThroughGenericPathMatchesReferenceSolver) {
+TEST(ProgramExecutorTest, MpdataThroughGenericPathMatchesSerialStepper) {
   MpdataProgram M = buildMpdataProgram();
   Domain Dom(18, 12, 8, mpdataHaloDepth());
   MachineModel Machine = makeToyMachine();
@@ -126,8 +99,11 @@ TEST(ProgramExecutorTest, MpdataThroughGenericPathMatchesReferenceSolver) {
                        Dom, std::move(Plan));
   initMpdata(Exec, M, Dom);
   Exec.run(4);
-  Array3D Oracle = mpdataOracle(Dom, 4);
-  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Oracle, Dom.coreBox()), 0.0);
+  SerialStepper Oracle(M.Program, buildMpdataKernels(), Dom);
+  initMpdata(Oracle, M, Dom);
+  Oracle.run(4);
+  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Oracle.array(M.XIn), Dom.coreBox()),
+            0.0);
 }
 
 TEST(ProgramExecutorTest, RejectsMismatchedPlanTarget) {

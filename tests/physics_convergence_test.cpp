@@ -8,10 +8,14 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestMatrix.h"
+
 #include "dist/DistributedSolver.h"
 #include "dist/RankComm.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "mpdata/MpdataProgram.h"
+#include "stencil/SerialStepper.h"
 #include "support/OStream.h"
 
 #include <gtest/gtest.h>
@@ -24,23 +28,24 @@ using namespace icores;
 namespace {
 
 /// L2 error against the translated analytic blob for an N x N x 8 run at
-/// fixed Courant (0.3, 0.2, 0).
+/// fixed Courant (0.3, 0.2, 0), of the corrected scheme or of plain
+/// first-order upwind.
 double translationError(int N, int Steps, bool FirstOrder) {
-  SolverOptions Opts;
-  Opts.FirstOrderOnly = FirstOrder;
-  ReferenceSolver Solver(N, N, 8, Opts);
+  MpdataProgram M = buildMpdataProgram();
+  Domain Dom(N, N, 8, mpdataHaloDepth());
+  SerialStepper Solver(M.Program, buildMpdataKernels(), Dom);
   GaussianBlob Blob;
   Blob.CenterI = N / 3.0;
   Blob.CenterJ = N / 2.0;
   Blob.CenterK = 4.0;
   Blob.Sigma = N / 8.0;
-  fillGaussian(Solver.stateIn(), Solver.domain(), Blob);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, 0.2, 0.0);
-  Solver.prepareCoefficients();
-  Solver.run(Steps);
+  fillGaussian(Solver.array(M.XIn), Dom, Blob);
+  setMpdataCoefficients(Solver, M, 0.3, 0.2, 0.0);
   GaussianBlob Moved = Blob.translated(0.3 * Steps, 0.2 * Steps, 0.0);
-  return l2ErrorVsBlob(Solver.state(), Solver.domain(), Moved);
+  if (FirstOrder)
+    return l2ErrorVsBlob(firstOrderUpwind(M, Solver, Steps), Dom, Moved);
+  Solver.run(Steps);
+  return l2ErrorVsBlob(Solver.array(M.XIn), Dom, Moved);
 }
 
 } // namespace

@@ -14,15 +14,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestMatrix.h"
+
 #include "core/PlacementMap.h"
 #include "core/PlanBuilder.h"
 #include "core/ScheduleOptimizer.h"
 #include "exec/Affinity.h"
-#include "exec/PlanExecutor.h"
+#include "exec/ProgramExecutor.h"
 #include "grid/Placement.h"
 #include "machine/MachineModel.h"
 #include "mpdata/InitialConditions.h"
-#include "mpdata/Solver.h"
+#include "mpdata/Kernels.h"
+#include "mpdata/MpdataProgram.h"
+#include "stencil/SerialStepper.h"
 #include "sim/Simulator.h"
 
 #include <gtest/gtest.h>
@@ -38,14 +42,14 @@ constexpr int TimeSteps = 4;
 constexpr int Islands = 2;
 
 Array3D referenceResult() {
-  ReferenceSolver Solver(GridNI, GridNJ, GridNK);
-  fillRandomPositive(Solver.stateIn(), Solver.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Solver.velocity(0), Solver.velocity(1),
-                      Solver.velocity(2), Solver.domain(), 0.3, -0.25, 0.2);
-  Solver.prepareCoefficients();
+  MpdataProgram M = buildMpdataProgram();
+  SerialStepper Solver(M.Program, buildMpdataKernels(),
+                       Domain(GridNI, GridNJ, GridNK, mpdataHaloDepth()));
+  fillRandomPositive(Solver.array(M.XIn), Solver.domain(), 77, 0.1, 2.0);
+  setMpdataCoefficients(Solver, M, 0.3, -0.25, 0.2);
   Solver.run(TimeSteps);
   Array3D Result(Solver.domain().allocBox());
-  Result.copyRegionFrom(Solver.state(), Solver.domain().coreBox());
+  Result.copyRegionFrom(Solver.array(M.XIn), Solver.domain().coreBox());
   return Result;
 }
 
@@ -74,22 +78,22 @@ Array3D placedResult(Strategy Strat, int Depth, PlacementPolicy Place,
                      int64_t *RemotePerStepOut = nullptr) {
   MachineModel Host;
   ExecutionPlan Plan = makePlan(Strat, Depth, Place, Host);
+  MpdataProgram M = buildMpdataProgram();
   Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
   ExecutorOptions Opts;
   if (Place != PlacementPolicy::None)
     Opts.Pinning = computeThreadPlacement(Plan, Host);
-  PlanExecutor Exec(Dom, std::move(Plan), Kernels, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(Kernels), Dom,
+                       std::move(Plan), Opts);
+  fillRandomPositive(Exec.array(M.XIn), Exec.domain(), 77, 0.1, 2.0);
+  setMpdataCoefficients(Exec, M, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
   if (StatsOut)
     *StatsOut = Exec.stats();
   if (RemotePerStepOut)
-    *RemotePerStepOut = Exec.executor().remoteBytesPerStep();
+    *RemotePerStepOut = Exec.remoteBytesPerStep();
   Array3D Result(Exec.domain().allocBox());
-  Result.copyRegionFrom(Exec.state(), Exec.domain().coreBox());
+  Result.copyRegionFrom(Exec.array(M.XIn), Exec.domain().coreBox());
   return Result;
 }
 
@@ -223,37 +227,37 @@ TEST(PlacementTest, BogusPinningCountsFailuresAndStaysExact) {
     Pinning[T].GlobalCore = (1 << 20) + static_cast<int>(T);
   int64_t Workers = static_cast<int64_t>(Pinning.size());
 
+  MpdataProgram M = buildMpdataProgram();
   Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
   ExecutorOptions Opts;
   Opts.Pinning = std::move(Pinning);
-  PlanExecutor Exec(Dom, std::move(Plan), KernelVariant::Reference, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan), Opts);
+  fillRandomPositive(Exec.array(M.XIn), Exec.domain(), 77, 0.1, 2.0);
+  setMpdataCoefficients(Exec, M, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
 
   EXPECT_EQ(Exec.stats().PinFailures, Workers);
   Array3D Reference = referenceResult();
-  EXPECT_EQ(Exec.state().maxAbsDiff(Reference, coreBox()), 0.0);
+  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Reference, coreBox()), 0.0);
 }
 
 TEST(PlacementTest, HugePageAdviceKeepsResultsExact) {
   MachineModel Host;
   ExecutionPlan Plan = makePlan(Strategy::IslandsOfCores, 1,
                                 PlacementPolicy::FirstTouch, Host);
+  MpdataProgram M = buildMpdataProgram();
   Domain Dom(GridNI, GridNJ, GridNK, mpdataHaloDepth());
   ExecutorOptions Opts;
   Opts.HugePages = true;
   Opts.Pinning = computeThreadPlacement(Plan, Host);
-  PlanExecutor Exec(Dom, std::move(Plan), KernelVariant::Reference, Opts);
-  fillRandomPositive(Exec.stateIn(), Exec.domain(), 77, 0.1, 2.0);
-  setConstantVelocity(Exec.velocity(0), Exec.velocity(1), Exec.velocity(2),
-                      Exec.domain(), 0.3, -0.25, 0.2);
-  Exec.prepareCoefficients();
+  ProgramExecutor Exec(M.Program, buildMpdataKernels(), Dom,
+                       std::move(Plan), Opts);
+  fillRandomPositive(Exec.array(M.XIn), Exec.domain(), 77, 0.1, 2.0);
+  setMpdataCoefficients(Exec, M, 0.3, -0.25, 0.2);
   Exec.run(TimeSteps);
   Array3D Reference = referenceResult();
-  EXPECT_EQ(Exec.state().maxAbsDiff(Reference, coreBox()), 0.0);
+  EXPECT_EQ(Exec.array(M.XIn).maxAbsDiff(Reference, coreBox()), 0.0);
 }
 
 TEST(PlacementTest, ParsePolicyAcceptsAllSpellings) {

@@ -30,13 +30,9 @@
 #include "core/ScheduleOptimizer.h"
 #include "exec/Affinity.h"
 #include "exec/LintSuite.h"
-#include "exec/PlanExecutor.h"
 #include "exec/ProgramExecutor.h"
 #include "fault/FaultInjector.h"
 #include "machine/MachineModel.h"
-#include "mpdata/InitialConditions.h"
-#include "mpdata/Kernels.h"
-#include "mpdata/Solver.h"
 #include "stencil/SerialStepper.h"
 #include "stencil/WorkloadRegistry.h"
 #include "sim/PlanAdvisor.h"
@@ -472,103 +468,28 @@ int main(int Argc, char **Argv) {
       return 1;
     }
 
-    // With an explicit --workload, drive the registered program through
-    // the generic runtime: ProgramExecutor against the SerialStepper
-    // oracle, both seeded from the workload's registered init, with every
-    // declared per-step reduction checked and reported.
-    if (CL.hasOption("workload")) {
-      bool HaveVariant = false;
-      for (KernelVariant V : Workload->Variants)
-        HaveVariant = HaveVariant || V == Kernels;
-      if (!HaveVariant) {
-        std::fprintf(stderr,
-                     "error: workload '%s' has no '%s' kernel backend\n",
-                     Workload->Name.c_str(), kernelVariantName(Kernels));
-        return 1;
-      }
-      uint64_t Seed = static_cast<uint64_t>(CL.getInt("seed", 7));
-      Domain Dom = workloadDomain(*Workload, NI, NJ, NK);
-      ExecOpts.Reductions = Workload->Reductions;
-      ProgramExecutor Exec(Prog, Workload->Kernels(Kernels), Dom,
-                           std::move(Plan), ExecOpts);
-      std::string ProfilePath = CL.getString("profile", "");
-      if (!ProfilePath.empty())
-        Exec.enableProfiling(true);
-      initWorkload(*Workload, Exec, Seed);
-      Exec.run(Steps);
-
-      SerialStepper Oracle(Prog, Workload->Kernels(Kernels), Dom,
-                           Workload->Reductions);
-      initWorkload(*Workload, Oracle, Seed);
-      Oracle.run(Steps);
-
-      // After run() the newest state of a feedback pair lives in its
-      // Target array; a step output without feedback keeps its own.
-      double Diff = 0.0;
-      std::vector<ArrayId> Compare;
-      for (const FeedbackPair &FB : Prog.feedbacks())
-        Compare.push_back(FB.Target);
-      for (ArrayId Out : Prog.stepOutputs()) {
-        bool FedBack = false;
-        for (const FeedbackPair &FB : Prog.feedbacks())
-          FedBack = FedBack || FB.Source == Out;
-        if (!FedBack)
-          Compare.push_back(Out);
-      }
-      for (ArrayId Id : Compare)
-        Diff = std::max(Diff, Exec.array(Id).maxAbsDiff(Oracle.array(Id),
-                                                        Dom.coreBox()));
-      std::printf("executed %d steps of %s/%s on %dx%dx%d with %d "
-                  "islands\n",
-                  Steps, Workload->Name.c_str(), strategyName(Strat), NI,
-                  NJ, NK, Sockets);
-      for (size_t R = 0; R != Prog.reductions().size(); ++R) {
-        const std::vector<double> &Got = Exec.reductionHistory(R);
-        const std::vector<double> &Want = Oracle.reductionHistory(R);
-        bool Match = Got == Want;
-        if (!Match)
-          Diff = std::max(Diff, 1.0);
-        std::printf("reduction '%s': final %.17g over %zu steps %s\n",
-                    Prog.reductions()[R].Name.c_str(),
-                    Got.empty() ? 0.0 : Got.back(), Got.size(),
-                    Match ? "(bit-exact vs serial)" : "(MISMATCH)");
-      }
-      std::printf("max diff vs serial reference: %.3e %s\n", Diff,
-                  Diff == 0.0 ? "(bit-exact)" : "");
-      if (Chaos) {
-        FaultStats FS = Chaos->stats();
-        std::printf("chaos: %lld faults injected (%lld stall-timeouts "
-                    "detected); result %s under fault injection\n",
-                    static_cast<long long>(FS.Injected),
-                    static_cast<long long>(FS.Timeouts),
-                    Diff == 0.0 ? "bit-exact" : "DIVERGED");
-      }
-      if (!ProfilePath.empty()) {
-        const ExecStats &Stats = Exec.stats();
-        std::FILE *F = std::fopen(ProfilePath.c_str(), "w");
-        if (!F) {
-          std::fprintf(stderr, "error: cannot open '%s' for writing\n",
-                       ProfilePath.c_str());
-          return 1;
-        }
-        FileOStream OS(F);
-        Stats.writeJson(OS);
-        std::fclose(F);
-        std::printf("profile: stats written to %s\n", ProfilePath.c_str());
-      }
-      return Diff == 0.0 ? 0 : 1;
+    bool HaveVariant = false;
+    for (KernelVariant V : Workload->Variants)
+      HaveVariant = HaveVariant || V == Kernels;
+    if (!HaveVariant) {
+      std::fprintf(stderr,
+                   "error: workload '%s' has no '%s' kernel backend\n",
+                   Workload->Name.c_str(), kernelVariantName(Kernels));
+      return 1;
     }
 
-    Domain Dom(NI, NJ, NK, mpdataHaloDepth());
-    PlanExecutor Exec(Dom, std::move(Plan), Kernels, ExecOpts);
+    // The registered program through the generic runtime: ProgramExecutor
+    // against the SerialStepper oracle, both seeded from the workload's
+    // registered init, with every declared per-step reduction checked.
+    uint64_t Seed = static_cast<uint64_t>(CL.getInt("seed", 7));
+    Domain Dom = workloadDomain(*Workload, NI, NJ, NK);
+    ExecOpts.Reductions = Workload->Reductions;
+    ProgramExecutor Exec(Prog, Workload->Kernels(Kernels), Dom,
+                         std::move(Plan), ExecOpts);
     std::string ProfilePath = CL.getString("profile", "");
     if (!ProfilePath.empty())
       Exec.enableProfiling(true);
-    fillRandomPositive(Exec.stateIn(), Dom, 7, 0.1, 2.0);
-    setConstantVelocity(Exec.velocity(0), Exec.velocity(1),
-                        Exec.velocity(2), Dom, 0.25, -0.2, 0.15);
-    Exec.prepareCoefficients();
-    double MassBefore = Exec.conservedMass();
+    initWorkload(*Workload, Exec, Seed);
     if (!ProfilePath.empty() && Steps > Temporal) {
       // Two run() calls on purpose: the profile's pool counters then
       // demonstrate thread reuse (run_calls 2, threads spawned once).
@@ -579,44 +500,64 @@ int main(int Argc, char **Argv) {
       Exec.run(Steps);
     }
 
-    ReferenceSolver Oracle(NI, NJ, NK);
-    fillRandomPositive(Oracle.stateIn(), Oracle.domain(), 7, 0.1, 2.0);
-    setConstantVelocity(Oracle.velocity(0), Oracle.velocity(1),
-                        Oracle.velocity(2), Oracle.domain(), 0.25, -0.2,
-                        0.15);
-    Oracle.prepareCoefficients();
+    SerialStepper Oracle(Prog, Workload->Kernels(Kernels), Dom,
+                         Workload->Reductions);
+    initWorkload(*Workload, Oracle, Seed);
     Oracle.run(Steps);
 
-    double Diff = Exec.state().maxAbsDiff(Oracle.state(), Dom.coreBox());
-    std::printf("executed %d steps of %s on %dx%dx%d with %d islands\n",
-                Steps, strategyName(Strat), NI, NJ, NK, Sockets);
-    if (Config.Balance == BalancePolicy::Cost || ExecOpts.Stealing) {
-      const ExecStats &BS = Exec.stats();
+    // After run() the newest state of a feedback pair lives in its
+    // Target array; a step output without feedback keeps its own.
+    double Diff = 0.0;
+    std::vector<ArrayId> Compare;
+    for (const FeedbackPair &FB : Prog.feedbacks())
+      Compare.push_back(FB.Target);
+    for (ArrayId Out : Prog.stepOutputs()) {
+      bool FedBack = false;
+      for (const FeedbackPair &FB : Prog.feedbacks())
+        FedBack = FedBack || FB.Source == Out;
+      if (!FedBack)
+        Compare.push_back(Out);
+    }
+    for (ArrayId Id : Compare)
+      Diff = std::max(Diff, Exec.array(Id).maxAbsDiff(Oracle.array(Id),
+                                                      Dom.coreBox()));
+    std::printf("executed %d steps of %s/%s on %dx%dx%d with %d islands\n",
+                Steps, Workload->Name.c_str(), strategyName(Strat), NI, NJ,
+                NK, Sockets);
+    for (size_t R = 0; R != Prog.reductions().size(); ++R) {
+      const std::vector<double> &Got = Exec.reductionHistory(R);
+      const std::vector<double> &Want = Oracle.reductionHistory(R);
+      bool Match = Got == Want;
+      if (!Match)
+        Diff = std::max(Diff, 1.0);
+      std::printf("reduction '%s': final %.17g over %zu steps %s\n",
+                  Prog.reductions()[R].Name.c_str(),
+                  Got.empty() ? 0.0 : Got.back(), Got.size(),
+                  Match ? "(bit-exact vs serial)" : "(MISMATCH)");
+    }
+    const ExecStats &Stats = Exec.stats();
+    if (Config.Balance == BalancePolicy::Cost || ExecOpts.Stealing)
       std::printf("balance: %s cuts, stealing %s, predicted island skew "
                   "%.4f, measured %.4f\n",
-                  BS.Balance.c_str(), BS.Stealing ? "on" : "off",
-                  BS.PredictedIslandSkew, BS.measuredIslandSkew());
-    }
+                  Stats.Balance.c_str(), Stats.Stealing ? "on" : "off",
+                  Stats.PredictedIslandSkew, Stats.measuredIslandSkew());
     if (Temporal > 1)
       std::printf("temporal blocking: depth %d (%d fused epochs), shared "
                   "traffic %s/step\n",
                   Temporal, Steps / Temporal,
                   formatBytes(static_cast<uint64_t>(
-                                  Exec.executor().sharedBytesPerStep()))
+                                  Exec.sharedBytesPerStep()))
                       .c_str());
-    if (HavePlace) {
-      const ExecStats &PS = Exec.stats();
+    if (HavePlace)
       std::printf("placement: %s, remote %s/step (est), %lld pages "
                   "first-touched, %lld pin failures\n",
-                  PS.Placement.c_str(),
+                  Stats.Placement.c_str(),
                   formatBytes(static_cast<uint64_t>(
-                                  Exec.executor().remoteBytesPerStep()))
+                                  Exec.remoteBytesPerStep()))
                       .c_str(),
-                  static_cast<long long>(PS.PagesFirstTouched),
-                  static_cast<long long>(PS.PinFailures));
-    }
-    std::printf("mass drift: %.2e; max diff vs serial reference: %.3e %s\n",
-                Exec.conservedMass() - MassBefore, Diff,
+                  static_cast<long long>(Stats.PagesFirstTouched),
+                  static_cast<long long>(Stats.PinFailures));
+    std::printf("max diff vs serial reference: %.3e %s\n", Diff,
                 Diff == 0.0 ? "(bit-exact)" : "");
     if (Chaos) {
       FaultStats FS = Chaos->stats();
@@ -627,7 +568,6 @@ int main(int Argc, char **Argv) {
                   Diff == 0.0 ? "bit-exact" : "DIVERGED");
     }
     if (!ProfilePath.empty()) {
-      const ExecStats &Stats = Exec.stats();
       std::FILE *F = std::fopen(ProfilePath.c_str(), "w");
       if (!F) {
         std::fprintf(stderr, "error: cannot open '%s' for writing\n",
